@@ -5,12 +5,14 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/core/trainer.hpp"
 #include "ccq/hw/integer_engine.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/resnet.hpp"
+#include "ccq/models/simple.hpp"
 #include "ccq/nn/conv.hpp"
 #include "ccq/nn/loss.hpp"
 #include "ccq/nn/optim.hpp"
@@ -379,104 +381,80 @@ BENCHMARK(BM_IgemmForward)
     ->Args({8, 1})
     ->Args({8, 2});
 
-/// Deeper end-to-end net for the engine-forward snapshot: two conv
-/// blocks with max/avg pooling, a global-average head and an unfused
-/// float classifier.  Unlike `igemm_net` this exercises the whole fused
-/// datapath — u8 activation codes flowing through requantizing igemm
-/// epilogues, integer pooling on codes, and the final decode — not just
-/// the igemm core.
+/// The deployment benchmark's serving model: the 16×16, width-0.25
+/// SimpleCNN with every quantized layer at `bits`, compiled after one
+/// training-mode pass over fixed data sets the BN statistics and
+/// activation ranges the integer plans fold in.  Its quantized
+/// activations fuse every conv's requantization into the igemm
+/// epilogue, so a forward exercises the whole code datapath: u8 codes
+/// through the batched conv ops, integer global-average pooling and the
+/// float classifier head.
 hw::IntegerNetwork engine_net(int bits) {
-  Rng rng(23 + static_cast<std::uint64_t>(bits));
-  const std::int32_t top = 1 << bits;
-  auto conv_plan = [&](std::size_t in_c, std::size_t out_c, std::string name) {
-    hw::IntLayerPlan p;
-    p.kind = hw::IntLayerPlan::Kind::kConv;
-    p.name = std::move(name);
-    p.in_channels = in_c;
-    p.out_channels = out_c;
-    p.kernel = 3;
-    p.stride = 1;
-    p.pad = 1;
-    p.weight_bits = bits;
-    p.weight_codes.resize(out_c * in_c * 9);
-    for (auto& c : p.weight_codes) {
-      c = rng.uniform() < 0.4
-              ? 0
-              : static_cast<std::int32_t>(rng.uniform_int(2 * top + 1)) - top;
-    }
-    p.channel_scale.assign(out_c, 0.001f);
-    p.bias.assign(out_c, 0.01f);
-    p.has_act = true;
-    p.act_bits = bits;
-    p.act_clip = 1.0f;
-    return p;
-  };
-  auto pool_plan = [](hw::IntLayerPlan::Kind kind, std::string name) {
-    hw::IntLayerPlan p;
-    p.kind = kind;
-    p.name = std::move(name);
-    p.pool_kernel = 2;
-    p.pool_stride = 2;
-    return p;
-  };
-  hw::IntLayerPlan fc;
-  fc.kind = hw::IntLayerPlan::Kind::kLinear;
-  fc.name = "fc";
-  fc.in_features = 32;
-  fc.out_features = 10;
-  fc.weight_bits = bits;
-  fc.weight_codes.resize(fc.in_features * fc.out_features);
-  for (auto& c : fc.weight_codes) {
-    c = static_cast<std::int32_t>(rng.uniform_int(2 * top + 1)) - top;
+  models::ModelConfig mc;
+  mc.num_classes = 10;
+  mc.image_size = 16;
+  mc.width_multiplier = 0.25f;
+  const quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
+  const quant::BitLadder ladder({8, 4, 2});
+  models::QuantModel model = models::make_simple_cnn(mc, factory, ladder);
+  const std::size_t pos = bits >= 8 ? 0 : bits >= 4 ? 1 : 2;
+  for (std::size_t i = 0; i < model.registry().size(); ++i) {
+    model.registry().set_ladder_pos(i, pos);
   }
-  fc.channel_scale.assign(fc.out_features, 0.001f);
-  fc.bias.assign(fc.out_features, 0.01f);
-  return hw::IntegerNetwork::from_plans(
-      {conv_plan(16, 32, "conv1"),
-       pool_plan(hw::IntLayerPlan::Kind::kMaxPool, "maxpool@1"),
-       conv_plan(32, 32, "conv2"),
-       pool_plan(hw::IntLayerPlan::Kind::kAvgPool, "avgpool@3"),
-       pool_plan(hw::IntLayerPlan::Kind::kGlobalAvgPool, "gap@4"),
-       std::move(fc)});
+  Workspace ws;
+  model.set_training(true);
+  Tensor calib({8, 3, 16, 16});
+  auto cd = calib.data();
+  for (std::size_t i = 0; i < cd.size(); ++i) {
+    cd[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
+  }
+  model.forward(calib, ws);
+  model.set_training(false);
+  return hw::IntegerNetwork::compile(model);
 }
 
 /// End-to-end engine forward, fused datapath vs the naive int64
-/// `forward_reference` oracle.  Args are {bits, mode} with mode
+/// `forward_reference` oracle.  Args are {bits, mode, batch} with mode
 /// 0=reference, 1=fused (auto kernel selection).  Outputs are
 /// bit-identical by construction (engine_datapath_test), so the rows
-/// track the fused datapath's speed and the allocs_per_iter=0 warm
-/// contract; BENCH_engine.json snapshots them.
+/// track the fused datapath's speed, how its per-sample cost moves with
+/// batch size (items are MACs, so items_per_second is MAC/s), and the
+/// allocs_per_iter=0 warm contract; BENCH_engine.json snapshots them.
 void BM_EngineForward(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   const bool reference = state.range(1) == 0;
+  const auto batch = static_cast<std::size_t>(state.range(2));
   const KernelEnvPin pin(nullptr);  // auto selection
   hw::IntegerNetwork net = engine_net(bits);
   state.SetLabel(reference ? "reference" : "fused");
+  // Inputs rotate so no timing rests on the branch history of one input.
   Rng rng(3);
-  Tensor x({4, 16, 16, 16});
-  for (auto& v : x.data()) v = static_cast<float>(rng.uniform());
+  std::vector<Tensor> xs;
+  for (int i = 0; i < 4; ++i) {
+    Tensor x({batch, 3, 16, 16});
+    for (auto& v : x.data()) v = static_cast<float>(rng.uniform());
+    xs.push_back(std::move(x));
+  }
   Workspace ws;
   ExecContext ctx;  // serial: thread scaling is covered by *Threads benches
-  ws.recycle(reference ? net.forward_reference(x, ws, ctx)
-                       : net.forward(x, ws, ctx));  // warm the pool
+  ws.recycle(reference ? net.forward_reference(xs[0], ws, ctx)
+                       : net.forward(xs[0], ws, ctx));  // warm the pool
   const AllocSnapshot before;
+  std::size_t next = 0;
   for (auto _ : state) {
+    const Tensor& x = xs[next++ % xs.size()];
     Tensor y = reference ? net.forward_reference(x, ws, ctx)
                          : net.forward(x, ws, ctx);
     benchmark::DoNotOptimize(y.data().data());
     ws.recycle(std::move(y));
   }
   report_allocs(state, before);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
-                          static_cast<std::int64_t>(net.macs_per_sample(16, 16)));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(batch * net.macs_per_sample(16, 16)));
 }
 BENCHMARK(BM_EngineForward)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
+    ->ArgsProduct({{2, 4, 8}, {0, 1}, {1, 8, 32}});
 
 void BM_KlCalibration(benchmark::State& state) {
   Rng rng(5);

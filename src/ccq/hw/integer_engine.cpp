@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <type_traits>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/hw/fixed_point.hpp"
@@ -589,30 +588,6 @@ void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
   }
 }
 
-/// Typed scratch lease for activation codes (u8 / i16 / exact i32).
-template <typename T>
-auto code_lease(Workspace& ws, std::size_t n) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    return ws.bytes(n);
-  } else if constexpr (std::is_same_v<T, std::int16_t>) {
-    return ws.shorts(n);
-  } else {
-    return ws.ints(n);
-  }
-}
-
-/// Point an IgemmOp at a typed activation buffer (x / x8 / x16 by type).
-template <typename T>
-void set_igemm_x(IgemmOp& op, const T* x) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    op.x8 = x;
-  } else if constexpr (std::is_same_v<T, std::int16_t>) {
-    op.x16 = x;
-  } else {
-    op.x = x;
-  }
-}
-
 /// Owner of the flowing activation codes in forward(): exactly one of
 /// the u8 / i16 leases is engaged while the network stays in the code
 /// domain (leases have deleted move-assignment, hence the optionals).
@@ -648,34 +623,6 @@ class CodeStore {
   std::optional<Workspace::ByteLease> b8_;
   std::optional<Workspace::ShortLease> i16_;
 };
-
-/// Issue one igemm per image of a conv layer over typed activation
-/// codes.  `op` arrives fully configured except the per-image x / output
-/// pointers; exactly one of out8/out16/outf is non-null, matching the
-/// op's epilogue configuration (requant vs float).
-template <typename TIn>
-void conv_images(IgemmOp op, const TIn* src, std::size_t n,
-                 const ConvGeometry& g, std::uint8_t* out8,
-                 std::int16_t* out16, float* outf, Workspace& ws,
-                 const ExecContext& ctx) {
-  const std::size_t spatial = g.out_spatial();
-  const std::size_t patch = g.patch_size();
-  const std::size_t in_stride = g.in_channels * g.in_h * g.in_w;
-  const std::size_t out_stride = op.m * spatial;
-  auto cols = code_lease<TIn>(ws, patch * spatial);
-  for (std::size_t img = 0; img < n; ++img) {
-    im2col(src + img * in_stride, g, cols.data(), ctx);
-    set_igemm_x(op, static_cast<const TIn*>(cols.data()));
-    if (out8 != nullptr) {
-      op.out8 = out8 + img * out_stride;
-    } else if (out16 != nullptr) {
-      op.out16 = out16 + img * out_stride;
-    } else {
-      op.c = outf + img * out_stride;
-    }
-    igemm_run(op, ctx);
-  }
-}
 
 }  // namespace
 
@@ -741,6 +688,59 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
     }
   };
 
+  // One conv/linear layer.  `op` arrives with its form and shapes set;
+  // this adds the plan's panel and bounds, points it at the flowing
+  // activations, and issues the single igemm.  A fused layer's requant
+  // epilogue writes the next layer's codes — no float tensor is
+  // materialised at the boundary; the rest take the float epilogue and
+  // unfused_output.
+  auto run_mac_layer = [&](IgemmOp& op, const IntLayerPlan& plan,
+                           const Shape& out_shape) {
+    op.panel = &plan.panel;
+    op.accum = plan.accum;
+    op.x_bound = plan.in_code_bound;
+    op.ws = &ws;
+    auto run_on_codes = [&] {
+      codes.visit([&](const auto* src) {
+        op.set_codes(src);
+        igemm_run(op, ctx);
+      });
+    };
+    const std::size_t elems = shape_numel(out_shape);
+    if (codes.engaged() && plan.requant_fused) {
+      op.requant = plan.requant.data();
+      op.requant_qmax = plan.out_qmax;
+      if (plan.out_qmax <= 255) {
+        Workspace::ByteLease out = ws.bytes(elems);
+        op.out8 = out.data();
+        run_on_codes();
+        codes.adopt(std::move(out));
+      } else {
+        Workspace::ShortLease out = ws.shorts(elems);
+        op.out16 = out.data();
+        run_on_codes();
+        codes.adopt(std::move(out));
+      }
+      scale = act_scale(plan);
+    } else {
+      op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
+      Tensor out = ws.tensor_uninit(out_shape);
+      op.c = out.data().data();
+      if (codes.engaged()) {
+        run_on_codes();
+        codes.reset();
+      } else {
+        Workspace::IntLease xcodes = ws.ints(act.numel());
+        to_int_codes(act, scale, xcodes.data());
+        op.x = xcodes.data();
+        igemm_run(op, ctx);
+        ws.recycle(std::move(act));
+      }
+      unfused_output(std::move(out), plan);
+    }
+    shape = out_shape;
+  };
+
   for (const auto& plan : rungs_[rung]) {
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv: {
@@ -751,118 +751,26 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
                              .kernel = plan.kernel,
                              .stride = plan.stride,
                              .pad = plan.pad};
-        const std::size_t oh = g.out_h(), ow = g.out_w();
-        const std::size_t spatial = g.out_spatial();
+        // The whole batch is one igemm: the op reads the NCHW codes
+        // directly and writes NCHW output (IgemmConv).
         IgemmOp op;
         op.form = IgemmForm::kWX;
         op.m = plan.out_channels;
-        op.n = spatial;
+        op.n = g.out_spatial();
         op.k = g.patch_size();
-        op.panel = &plan.panel;
-        op.accum = plan.accum;
-        op.x_bound = plan.in_code_bound;
-        op.ws = &ws;
-        const Shape out_shape = {n, plan.out_channels, oh, ow};
-        if (codes.engaged() && plan.requant_fused) {
-          // Fused path: the igemm epilogue writes the next layer's
-          // codes; no float tensor is materialised at the boundary.
-          op.requant = plan.requant.data();
-          op.requant_qmax = plan.out_qmax;
-          const std::size_t elems = n * plan.out_channels * spatial;
-          if (plan.out_qmax <= 255) {
-            Workspace::ByteLease out = ws.bytes(elems);
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, out.data(), nullptr, nullptr, ws,
-                          ctx);
-            });
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, nullptr, out.data(), nullptr, ws,
-                          ctx);
-            });
-            codes.adopt(std::move(out));
-          }
-          scale = act_scale(plan);
-        } else {
-          op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
-          Tensor out = ws.tensor_uninit(out_shape);
-          if (codes.engaged()) {
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, nullptr, nullptr,
-                          out.data().data(), ws, ctx);
-            });
-            codes.reset();
-          } else {
-            Workspace::IntLease xcodes = ws.ints(act.numel());
-            to_int_codes(act, scale, xcodes.data());
-            conv_images(op,
-                        static_cast<const std::int32_t*>(xcodes.data()), n,
-                        g, nullptr, nullptr, out.data().data(), ws, ctx);
-            ws.recycle(std::move(act));
-          }
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
+        op.conv = IgemmConv{.geometry = g, .images = n};
+        run_mac_layer(op, plan, {n, plan.out_channels, g.out_h(), g.out_w()});
         break;
       }
       case IntLayerPlan::Kind::kLinear: {
         CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
                   "linear input mismatch in integer engine");
-        const std::size_t n = shape[0];
         IgemmOp op;
         op.form = IgemmForm::kXW;
-        op.m = n;
+        op.m = shape[0];
         op.n = plan.out_features;
         op.k = plan.in_features;
-        op.panel = &plan.panel;
-        op.accum = plan.accum;
-        op.x_bound = plan.in_code_bound;
-        op.ws = &ws;
-        const Shape out_shape = {n, plan.out_features};
-        if (codes.engaged() && plan.requant_fused) {
-          op.requant = plan.requant.data();
-          op.requant_qmax = plan.out_qmax;
-          const std::size_t elems = n * plan.out_features;
-          if (plan.out_qmax <= 255) {
-            Workspace::ByteLease out = ws.bytes(elems);
-            op.out8 = out.data();
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            op.out16 = out.data();
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.adopt(std::move(out));
-          }
-          scale = act_scale(plan);
-        } else {
-          op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
-          Tensor out = ws.tensor_uninit(out_shape);
-          op.c = out.data().data();
-          if (codes.engaged()) {
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.reset();
-          } else {
-            Workspace::IntLease xcodes = ws.ints(act.numel());
-            to_int_codes(act, scale, xcodes.data());
-            op.x = xcodes.data();
-            igemm_run(op, ctx);
-            ws.recycle(std::move(act));
-          }
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
+        run_mac_layer(op, plan, {shape[0], plan.out_features});
         break;
       }
       case IntLayerPlan::Kind::kMaxPool:

@@ -18,6 +18,13 @@
 //     and accumulates in int32 with a statically bounded int64 fallback;
 //     the naive int64 triple loop is kept as `forward_reference`, the
 //     golden datapath every kernel is differentially tested against;
+//   * a convolution is lowered as one igemm per layer for the whole
+//     batch: the op carries the layer's `ConvGeometry` and image count
+//     (`IgemmConv`) and reads the NCHW activation codes directly.  The
+//     vector kernels gather cache-sized tiles of output positions
+//     straight into their dot layout and reuse the packed weight panel
+//     across the batch; the scalar kernel lowers each image with
+//     `im2col` internally.  No column matrix crosses the API;
 //   * activations flow layer-to-layer as integer *codes* (u8 for grids
 //     up to 8 bits, i16 above) with no intermediate float tensor: each
 //     layer's BN fold and the next grid's quantization are folded into

@@ -116,14 +116,18 @@ class ByteReader {
     const auto n = varint();
     need(n * sizeof(float), std::to_string(n) + " floats");
     std::vector<float> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), data_.data() + pos_, v.size() * sizeof(float));
+    // An empty vector's data() may be null, and memcpy from or to null
+    // is undefined even for zero bytes.
+    if (!v.empty()) {
+      std::memcpy(v.data(), data_.data() + pos_, v.size() * sizeof(float));
+    }
     pos_ += v.size() * sizeof(float);
     return v;
   }
   std::vector<std::uint8_t> raw(std::size_t n) {
     need(n, std::to_string(n) + " packed bytes");
     std::vector<std::uint8_t> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n);
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n);
     pos_ += n;
     return v;
   }

@@ -88,6 +88,49 @@ void run_scalar(const IgemmOp& op, const ExecContext& ctx) {
   });
 }
 
+/// Scalar-kernel execution of a convolution op: each image is lowered
+/// with `im2col` into one Workspace-leased column buffer and run as the
+/// column-matrix op writing that image's m×n output block.
+void run_scalar_conv(const IgemmOp& op, const ExecContext& ctx) {
+  const ConvGeometry& g = op.conv->geometry;
+  const std::size_t in_stride = g.in_channels * g.in_h * g.in_w;
+  const std::size_t out_stride = op.m * op.n;
+  Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
+  IgemmOp img_op = op;
+  img_op.conv.reset();
+  igemm_detail::with_x(op, [&](const auto* x) {
+    using TX = std::remove_cv_t<std::remove_pointer_t<decltype(x)>>;
+    auto cols = igemm_detail::lease_codes<TX>(ws, op.k * op.n);
+    img_op.set_codes(static_cast<const TX*>(cols.data()));
+    for (std::size_t img = 0; img < op.conv->images; ++img) {
+      im2col(x + img * in_stride, g, cols.data(), ctx);
+      if (op.out8 != nullptr) img_op.out8 = op.out8 + img * out_stride;
+      if (op.out16 != nullptr) img_op.out16 = op.out16 + img * out_stride;
+      if (op.c != nullptr) img_op.c = op.c + img * out_stride;
+      run_scalar(img_op, ctx);
+    }
+  });
+}
+
+/// Validate a conv description against the op it rides on.
+void check_conv(const IgemmOp& op) {
+  const ConvGeometry& g = op.conv->geometry;
+  CCQ_CHECK(op.form == IgemmForm::kWX,
+            "igemm_run: a conv op must use the kWX form");
+  CCQ_CHECK(g.kernel > 0 && g.stride > 0,
+            "igemm_run: conv kernel and stride must be positive");
+  if (g.patch_size() != op.k) {
+    throw Error("igemm_run: conv patch size " +
+                std::to_string(g.patch_size()) + " (C·kernel²) does not "
+                "match op depth k = " + std::to_string(op.k));
+  }
+  if (g.out_spatial() != op.n) {
+    throw Error("igemm_run: conv output size " +
+                std::to_string(g.out_spatial()) + " (out_h·out_w) does not "
+                "match op n = " + std::to_string(op.n));
+  }
+}
+
 }  // namespace
 
 bool igemm_fits_int32(std::int64_t max_abs_a, std::int64_t max_abs_b,
@@ -295,7 +338,8 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
                 ") does not match op (rows " + std::to_string(panel_rows) +
                 ", depth " + std::to_string(op.k) + ")");
   }
-  if (op.m == 0 || op.n == 0) return;
+  if (op.conv) check_conv(op);
+  if (op.m == 0 || op.n == 0 || (op.conv && op.conv->images == 0)) return;
   if (op.requant != nullptr) {
     CCQ_CHECK((op.out8 != nullptr) != (op.out16 != nullptr),
               "igemm_run: requant epilogue needs exactly one code output "
@@ -329,7 +373,11 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
   switch (panel.kernel) {
     case IgemmKernel::kScalar: {
       telemetry::ScopedTimer kt(telemetry::Timer::kIgemmScalar);
-      run_scalar(op, ctx);
+      if (op.conv) {
+        run_scalar_conv(op, ctx);
+      } else {
+        run_scalar(op, ctx);
+      }
       break;
     }
     case IgemmKernel::kVec16: {

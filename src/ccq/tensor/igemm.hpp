@@ -8,9 +8,12 @@
 //   * weight codes are packed once (plan-compile / artifact-load time)
 //     into an `IgemmPanel` whose layout is owned by the kernel that will
 //     execute it (`igemm_pack`);
-//   * activation codes arrive as `u8` / `i16` / `int32` buffers
-//     (Workspace leases, filled by the matching `im2col` overload — the
-//     fused datapath keeps layer outputs in their narrow code type);
+//   * activation codes arrive as `u8` / `i16` / `int32` buffers — a
+//     column matrix (filled by the matching `im2col` overload) or, for a
+//     whole convolution, the NCHW code images themselves (`IgemmConv`:
+//     the vector kernels gather patches straight into their dot layout,
+//     the scalar kernel lowers with `im2col` internally); the fused
+//     datapath keeps layer outputs in their narrow code type;
 //   * one igemm invocation is described by an `IgemmOp` — operand form,
 //     shapes, packed panel, activation codes, epilogue (per-channel
 //     float scale/bias, or fixed-point requantization writing the next
@@ -45,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,8 +69,10 @@ enum class IgemmAccum : std::uint8_t { kInt32, kInt64 };
 /// column panel of int32 activations plus a `kc` depth slice stay
 /// L2-resident); tests sweep them to prove blocking never changes bits.
 /// The vector kernels honour `row_grain` (their parallel partition) and
-/// ignore `nc`/`kc` — their dot-product layout is depth-contiguous, so
-/// panelised rank-1 blocking does not apply.
+/// ignore `kc` — their dot-product layout is depth-contiguous, so
+/// panelised rank-1 blocking does not apply.  On a convolution op
+/// (IgemmConv) they read `nc` as the cap on a position tile and
+/// partition over tiles instead of `row_grain` rows.
 struct IgemmBlocking {
   std::size_t nc = 256;        ///< column-panel width (clamped to kIgemmMaxNc)
   std::size_t kc = 128;        ///< depth-panel height
@@ -191,12 +197,30 @@ struct IgemmEpilogue {
   const float* bias = nullptr;
 };
 
+/// A whole convolution as one kWX op: `images` NCHW code images of
+/// `geometry` (C = in_channels, H, W) feed the panel in place of a
+/// column matrix.  The op's `k` must equal `geometry.patch_size()` and
+/// its `n` `geometry.out_spatial()`; the output holds `images` blocks of
+/// m×n, image `b`'s element (row, pos) at `b·m·n + row·n + pos` — NCHW
+/// again.  The vector kernels gather cache-sized tiles of output
+/// positions (across image boundaries) straight into their dot layout
+/// from a zero-padded copy of the input and run every weight row
+/// against each tile, so the packed panel is reused across the whole
+/// batch; the scalar kernel lowers each image with `im2col`.  Either way
+/// the sums are the column-matrix op's, bit for bit.
+struct IgemmConv {
+  ConvGeometry geometry;
+  std::size_t images = 1;
+};
+
 /// One igemm invocation, fully described.  The activation code matrix is
 /// given through exactly one of `x` / `x8` / `x16`, in the form's
 /// natural layout (kWX: k×n feeding the panel from the right; kXW: m×k
 /// feeding it from the left) — the narrow overloads let the fused
 /// integer datapath hand layer outputs straight back in without a
-/// widening pass.  The result goes to exactly one of:
+/// widening pass.  With `conv` set they instead point at the NCHW code
+/// images and the output covers every image (see IgemmConv).  The
+/// result goes to exactly one of:
 ///   * `c` — float epilogue: C = float(acc)·scale + bias (per row for
 ///     kWX, per column for kXW);
 ///   * `out8` / `out16` — requant epilogue: each accumulator is
@@ -208,8 +232,8 @@ struct IgemmEpilogue {
 /// `x_bound > 0` asserts the activation codes lie in [0, x_bound] (the
 /// engine's statically threaded per-layer bound); 0 = unknown, which
 /// confines execution to the scalar kernel.  `ws` provides pooled
-/// scratch for the vector kernels' activation repacking (nullptr →
-/// `Workspace::scratch()`).
+/// scratch for the activation repacking, patch gathers and `im2col`
+/// columns (nullptr → `Workspace::scratch()`).
 struct IgemmOp {
   IgemmForm form = IgemmForm::kWX;
   std::size_t m = 0, n = 0, k = 0;  ///< C is m×n over reduction depth k
@@ -227,13 +251,22 @@ struct IgemmOp {
   IgemmBlocking blocking = {};
   std::int64_t x_bound = 0;
   Workspace* ws = nullptr;
+  std::optional<IgemmConv> conv;  ///< set: x is NCHW images, not columns
+
+  /// Point the op at activation codes of the matching type (sets x8,
+  /// x16 or x).
+  void set_codes(const std::uint8_t* codes) { x8 = codes; }
+  void set_codes(const std::int16_t* codes) { x16 = codes; }
+  void set_codes(const std::int32_t* codes) { x = codes; }
 };
 
 /// Execute an op with the kernel its panel was packed for.  Validates
-/// that the panel matches the op (form, shapes) and that the kernel is
-/// eligible for the op's bounds — a mismatch throws ccq::Error rather
-/// than risking inexact lanes.  Parallel over output rows; deterministic
-/// and bit-identical across kernels, blockings and thread counts.
+/// that the panel matches the op (form, shapes), that a conv description
+/// matches `k` / `n`, and that the kernel is eligible for the op's
+/// bounds — a mismatch throws ccq::Error rather than risking inexact
+/// lanes.  Parallel over output rows (conv ops: position tiles × weight
+/// rows); deterministic and bit-identical across kernels, blockings and
+/// thread counts.
 void igemm_run(const IgemmOp& op, const ExecContext& ctx = ExecContext::global());
 
 /// Pack int32 weight codes into a bare int16 panel in the *scalar*

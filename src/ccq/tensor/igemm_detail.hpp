@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 
 #include "ccq/tensor/igemm.hpp"
 
@@ -80,6 +82,18 @@ void with_x(const IgemmOp& op, F&& f) {
     f(op.x16);
   } else {
     f(op.x);
+  }
+}
+
+/// Workspace lease of `n` activation codes of type T (u8 / i16 / int32).
+template <typename T>
+auto lease_codes(Workspace& ws, std::size_t n) {
+  if constexpr (std::is_same_v<T, std::uint8_t>) {
+    return ws.bytes(n);
+  } else if constexpr (std::is_same_v<T, std::int16_t>) {
+    return ws.shorts(n);
+  } else {
+    return ws.ints(n);
   }
 }
 

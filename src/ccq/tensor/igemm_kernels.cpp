@@ -5,8 +5,9 @@
 // the inner loops are pure widening multiply-accumulate with no scalar
 // tail.  The weight side arrives pre-packed (IgemmPanel, igemm_pack);
 // the activation side is repacked here per call into Workspace-leased
-// int16 / uint8 scratch (a transpose for kWX, a narrowing copy for kXW)
-// — O(k·n) packing against O(m·k·n) math, and allocation-free warm.
+// int16 / uint8 scratch (a transpose for kWX, a narrowing copy for kXW,
+// a patch gather straight from the input images for a conv op) —
+// O(k·n) packing against O(m·k·n) math, and allocation-free warm.
 //
 // Exactness (what makes every lane sum provably overflow-free):
 //   * vec16 — pmaddwd-shaped int16×int16→int32 pairs.  Each int32 lane
@@ -489,6 +490,169 @@ void pack_x(const Src* x, const IgemmOp& op, std::size_t kp, Dst* xp,
   });
 }
 
+// ---- convolution ops ---------------------------------------------------------
+// A conv op (IgemmOp::conv) skips the k×n column matrix: input planes are
+// copied once into a zero-padded, lane-typed buffer, then tiles of output
+// positions are gathered straight into dot-layout rows and every weight
+// row runs against each tile while it is cache-hot.
+
+/// Bytes of gathered patch rows per position tile: the tile is swept
+/// once per weight row, so it is sized to stay L1-resident.
+inline constexpr std::size_t kConvTileBytes = 32 * 1024;
+
+/// Copy `planes` H×W code planes into (H+2·pad)×(W+2·pad) planes with a
+/// zero frame, narrowing to the lane type `Dst` (eligibility guarantees
+/// every code fits).  Afterwards every patch row of every output
+/// position is `kernel` consecutive in-bounds elements.
+template <typename Dst, typename Src>
+void pad_planes(const Src* x, const ConvGeometry& g, std::size_t planes,
+                Dst* xp, const ExecContext& ctx) {
+  const std::size_t wp = g.in_w + 2 * g.pad;
+  const std::size_t plane = (g.in_h + 2 * g.pad) * wp;
+  parallel_for(ctx, planes, 8, [&](std::size_t p0, std::size_t p1) {
+    for (std::size_t p = p0; p < p1; ++p) {
+      const Src* src = x + p * g.in_h * g.in_w;
+      Dst* dst = xp + p * plane;
+      std::fill(dst, dst + g.pad * wp, Dst{0});
+      for (std::size_t y = 0; y < g.in_h; ++y) {
+        Dst* row = dst + (g.pad + y) * wp;
+        std::fill(row, row + g.pad, Dst{0});
+        for (std::size_t i = 0; i < g.in_w; ++i) {
+          row[g.pad + i] = static_cast<Dst>(src[y * g.in_w + i]);
+        }
+        std::fill(row + g.pad + g.in_w, row + wp, Dst{0});
+      }
+      std::fill(dst + (g.pad + g.in_h) * wp, dst + plane, Dst{0});
+    }
+  });
+}
+
+/// Gather output positions [q0, q1) — flat over images × out_h × out_w —
+/// from the padded planes into `tile`, one `kp`-lane dot-layout row each
+/// in the weight panel's depth order (c, ky, kx), zero past k.
+/// `obase[t]` receives position t's output offset img·m·n + pos; adding
+/// row·n gives the NCHW output index.
+template <typename T>
+void gather_tile(const T* xp, const ConvGeometry& g, std::size_t oh,
+                 std::size_t ow, std::size_t m, std::size_t q0,
+                 std::size_t q1, std::size_t kp, T* tile,
+                 std::size_t* obase) {
+  const std::size_t n = oh * ow;
+  const std::size_t wp = g.in_w + 2 * g.pad;
+  const std::size_t plane = (g.in_h + 2 * g.pad) * wp;
+  const std::size_t kk = g.kernel;
+  const std::size_t k = g.patch_size();
+  std::size_t img = q0 / n;
+  std::size_t oy = q0 % n / ow;
+  std::size_t ox = q0 % ow;
+  for (std::size_t q = q0; q < q1; ++q) {
+    T* const row = tile + (q - q0) * kp;
+    obase[q - q0] = img * m * n + oy * ow + ox;
+    const T* src = xp + img * g.in_channels * plane +
+                   oy * g.stride * wp + ox * g.stride;
+    T* dst = row;
+    if (kk == 3) {
+      for (std::size_t c = 0; c < g.in_channels; ++c, src += plane) {
+        dst[0] = src[0];
+        dst[1] = src[1];
+        dst[2] = src[2];
+        dst[3] = src[wp];
+        dst[4] = src[wp + 1];
+        dst[5] = src[wp + 2];
+        dst[6] = src[2 * wp];
+        dst[7] = src[2 * wp + 1];
+        dst[8] = src[2 * wp + 2];
+        dst += 9;
+      }
+    } else {
+      for (std::size_t c = 0; c < g.in_channels; ++c, src += plane) {
+        for (std::size_t ky = 0; ky < kk; ++ky) {
+          for (std::size_t kx = 0; kx < kk; ++kx) *dst++ = src[ky * wp + kx];
+        }
+      }
+    }
+    std::fill(row + k, row + kp, T{0});
+    if (++ox == ow) {
+      ox = 0;
+      if (++oy == oh) {
+        oy = 0;
+        ++img;
+      }
+    }
+  }
+}
+
+/// Execute a validated conv op over dot-layout weight rows `w` (lane type
+/// TW) with activations in lane type `Dst`.  Work items are position
+/// tiles × weight-row blocks; rows are split only when there are fewer
+/// tiles than threads (a small batch), each block re-gathering its tile.
+/// Every output element is one exact dot, so the partition cannot change
+/// the bits.
+template <typename Dst, typename TW>
+void run_conv(const IgemmOp& op, const TW* w, std::size_t kp,
+              const ExecContext& ctx) {
+  const ConvGeometry& g = op.conv->geometry;
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t planes = op.conv->images * g.in_channels;
+  const std::size_t plane = (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
+  Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
+  auto padded = lease_codes<Dst>(ws, planes * plane);
+  with_x(op, [&](const auto* x) {
+    pad_planes<Dst>(x, g, planes, padded.data(), ctx);
+  });
+  const Dst* xp = padded.data();
+
+  const std::size_t total = op.conv->images * op.n;
+  const std::size_t nc =
+      std::min(std::max<std::size_t>(op.blocking.nc, 1), kIgemmMaxNc);
+  const std::size_t row_bytes = std::max<std::size_t>(kp, 1) * sizeof(Dst);
+  const std::size_t tile_w =
+      std::min(nc, std::max<std::size_t>(kConvTileBytes / row_bytes, 4));
+  const std::size_t tiles = (total + tile_w - 1) / tile_w;
+  const std::size_t threads = ctx.threads();
+  const std::size_t row_blocks =
+      tiles >= threads ? 1
+                       : std::min((op.m + 3) / 4, (threads + tiles - 1) / tiles);
+  const std::size_t rows_per = (op.m + row_blocks - 1) / row_blocks;
+  const std::size_t items = tiles * row_blocks;
+  dispatch_epilogue(op, [&](const auto& epi) {
+    parallel_for(ctx, items, (items + threads - 1) / threads,
+                 [&](std::size_t i0, std::size_t i1) {
+      auto scratch = lease_codes<Dst>(ws, tile_w * kp);
+      Dst* tile = scratch.data();
+      std::size_t obase[kIgemmMaxNc];
+      std::size_t gathered = tiles;  // index of the tile in `scratch`
+      for (std::size_t item = i0; item < i1; ++item) {
+        const std::size_t t = item / row_blocks;
+        const std::size_t q0 = t * tile_w;
+        const std::size_t cnt = std::min(total, q0 + tile_w) - q0;
+        if (t != gathered) {
+          gather_tile(xp, g, oh, ow, op.m, q0, q0 + cnt, kp, tile, obase);
+          gathered = t;
+        }
+        const std::size_t r0 = item % row_blocks * rows_per;
+        const std::size_t r1 = std::min(op.m, r0 + rows_per);
+        for (std::size_t i = r0; i < r1; ++i) {
+          const TW* wrow = w + i * kp;
+          const std::size_t rofs = i * op.n;
+          std::size_t j = 0;
+          for (; j + 4 <= cnt; j += 4) {
+            std::int32_t out[4];
+            dot4(wrow, tile + j * kp, tile + (j + 1) * kp,
+                 tile + (j + 2) * kp, tile + (j + 3) * kp, kp, out);
+            for (std::size_t u = 0; u < 4; ++u) {
+              epi.store(obase[j + u] + rofs, i, out[u]);
+            }
+          }
+          for (; j < cnt; ++j) {
+            epi.store(obase[j] + rofs, i, dot1(wrow, tile + j * kp, kp));
+          }
+        }
+      }
+    });
+  });
+}
+
 }  // namespace
 
 bool packed_simd() { return kPackedSimd; }
@@ -496,6 +660,10 @@ bool packed_simd() { return kPackedSimd; }
 void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
   const std::size_t kp = panel.stride;
+  if (op.conv) {
+    run_conv<std::int16_t>(op, panel.i16.data(), kp, ctx);
+    return;
+  }
   const std::size_t xrows = op.form == IgemmForm::kWX ? op.n : op.m;
   Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
   Workspace::ShortLease xp = ws.shorts(xrows * kp);
@@ -517,6 +685,10 @@ void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
   const std::size_t kp = panel.stride;
+  if (op.conv) {
+    run_conv<std::uint8_t>(op, panel.i8.data(), kp, ctx);
+    return;
+  }
   const std::size_t xrows = op.form == IgemmForm::kWX ? op.n : op.m;
   Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
   Workspace::ByteLease xp = ws.bytes(xrows * kp);

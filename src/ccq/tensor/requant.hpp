@@ -41,13 +41,16 @@ struct Requant {
 /// Arithmetic right shift by `shift` in [1, 62], rounding to nearest
 /// with ties to even.  Implemented as floor-shift plus a carry when the
 /// remainder exceeds half a ulp (or equals it and the floor result is
-/// odd).
+/// odd).  The carry test `rem + (q & 1) > half` is that rule in one
+/// comparison (rem <= half − 1 cannot pass it), so the epilogue has no
+/// data-dependent branch to mispredict.
 inline std::int64_t rne_shift(std::int64_t v, std::int32_t shift) {
   const std::int64_t q = v >> shift;  // floor (arithmetic shift)
   const std::uint64_t rem =
       static_cast<std::uint64_t>(v) & ((std::uint64_t{1} << shift) - 1u);
   const std::uint64_t half = std::uint64_t{1} << (shift - 1);
-  return q + ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
+  const std::uint64_t odd = static_cast<std::uint64_t>(q) & 1u;
+  return q + static_cast<std::int64_t>(rem + odd > half);
 }
 
 /// Requantize one exact accumulator into a code in [0, qmax].  This is
@@ -58,7 +61,7 @@ inline std::int32_t requant_apply(std::int64_t acc, const Requant& r,
   const std::int64_t v = acc * static_cast<std::int64_t>(r.multiplier) + r.bias;
   const std::int64_t q = rne_shift(v, r.shift);
   return static_cast<std::int32_t>(
-      std::clamp<std::int64_t>(q, 0, static_cast<std::int64_t>(qmax)));
+      std::min<std::int64_t>(std::max<std::int64_t>(q, 0), qmax));
 }
 
 }  // namespace ccq

@@ -3,10 +3,11 @@
 // The contract: a fused forward — activation codes flowing layer to
 // layer through requantizing igemm epilogues and integer pooling — is
 // bit-identical to `forward_reference`'s naive int64 loops applying the
-// same `requant_apply` spec, for every kernel variant, bit width, thread
-// count and pooling mix.  Synthetic `from_plans` networks keep the
-// sweep deterministic and let individual plan fields (activation bits,
-// unquantized producers, off-grid average windows) be pinned exactly.
+// same `requant_apply` spec, for every kernel variant, bit width, batch
+// size, serving rung, thread count and pooling mix.  Synthetic
+// `from_plans` networks keep the sweep deterministic and let individual
+// plan fields (activation bits, unquantized producers, off-grid average
+// windows) be pinned exactly.
 //
 // Labelled `engine` and run on both CI legs next to the igemm
 // differential suite.
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "ccq/common/rng.hpp"
 #include "ccq/common/workspace.hpp"
 #include "ccq/hw/integer_engine.hpp"
+#include "ccq/serve/artifact.hpp"
 
 namespace ccq::hw {
 namespace {
@@ -148,10 +151,11 @@ Tensor random_input(Rng& rng, std::size_t n, std::size_t c, std::size_t hw) {
 }
 
 void expect_bit_identical(const IntegerNetwork& net, const Tensor& x,
-                          const ExecContext& ctx, const std::string& where) {
+                          const ExecContext& ctx, const std::string& where,
+                          std::size_t rung = 0) {
   Workspace ws_fast, ws_ref;
-  const Tensor fast = net.forward(x, ws_fast, ctx);
-  const Tensor ref = net.forward_reference(x, ws_ref, ctx);
+  const Tensor fast = net.forward(x, ws_fast, ctx, rung);
+  const Tensor ref = net.forward_reference(x, ws_ref, ctx, rung);
   ASSERT_EQ(fast.shape(), ref.shape()) << where;
   const auto fp = fast.data();
   const auto rp = ref.data();
@@ -164,6 +168,44 @@ void expect_bit_identical(const IntegerNetwork& net, const Tensor& x,
 
 TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
   KernelEnvGuard guard;
+  // Batch sizes and rungs: a 3-rung (8/4/2-bit) network written to a
+  // CCQA artifact and loaded back — the form serving runs — swept over
+  // every batch size a worker can assemble, so conv ops whose position
+  // tiles straddle image boundaries are checked at every rung.
+  {
+    std::vector<std::vector<IntLayerPlan>> rungs;
+    for (int bits : {8, 4, 2}) {
+      Rng rng(2000 + bits);
+      rungs.push_back(mixed_net(rng, bits));
+    }
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "ccq_datapath_rungs.ccqa")
+            .string();
+    for (const char* kernel : {"scalar", "vec16", "vec-packed", "auto"}) {
+      setenv("CCQ_IGEMM_KERNEL", kernel, 1);
+      serve::export_artifact(
+          IntegerNetwork::from_rungs(rungs, std::vector<RungInfo>(3)), path);
+      const IntegerNetwork net = serve::load_artifact(path);
+      ASSERT_EQ(net.rung_count(), 3u);
+      Rng rng(31);
+      for (std::size_t batch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 32}) {
+        const Tensor x = random_input(rng, batch, 3, 8);
+        for (std::size_t rung = 0; rung < 3; ++rung) {
+          ASSERT_TRUE(net.plan(rung, 0).requant_fused) << "conv0 must fuse";
+          for (std::size_t threads : {1, 2, 4}) {
+            expect_bit_identical(net, x, ctx_for(threads),
+                                 std::string("kernel=") + kernel +
+                                     " batch=" + std::to_string(batch) +
+                                     " rung=" + std::to_string(rung) +
+                                     " threads=" + std::to_string(threads),
+                                 rung);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+    std::filesystem::remove(path);
+  }
   for (int bits : {2, 3, 4, 6, 8}) {
     Rng rng(1000 + bits);
     const auto plans = mixed_net(rng, bits);
@@ -288,17 +330,23 @@ TEST(EngineDatapathTest, WarmForwardMakesNoHeapAllocations) {
   unsetenv("CCQ_IGEMM_KERNEL");
   Rng rng(5);
   const IntegerNetwork net = IntegerNetwork::from_plans(mixed_net(rng, 4));
-  const Tensor x = random_input(rng, 2, 3, 8);
-  Workspace ws;
   const ExecContext& ctx = ctx_for(1);
-  Tensor warmup = net.forward(x, ws, ctx);  // cold: populates the pools
-  ws.recycle(std::move(warmup));  // output storage back to the pool too
-  alloc_stats::reset();
-  Tensor out = net.forward(x, ws, ctx);  // warm: pool hits only
-  EXPECT_EQ(alloc_stats::count(), 0u)
-      << alloc_stats::bytes() << " bytes allocated on a warm forward";
-  EXPECT_GT(out.numel(), 0u);
-  ws.recycle(std::move(out));
+  // Batched conv ops lease their padded input, gathered position tiles
+  // and im2col columns from the workspace, so a warm forward allocates
+  // nothing at any batch size.
+  for (std::size_t batch : {1, 2, 8, 32}) {
+    const Tensor x = random_input(rng, batch, 3, 8);
+    Workspace ws;
+    Tensor warmup = net.forward(x, ws, ctx);  // cold: populates the pools
+    ws.recycle(std::move(warmup));  // output storage back to the pool too
+    alloc_stats::reset();
+    Tensor out = net.forward(x, ws, ctx);  // warm: pool hits only
+    EXPECT_EQ(alloc_stats::count(), 0u)
+        << alloc_stats::bytes() << " bytes allocated on a warm forward at "
+        << "batch " << batch;
+    EXPECT_GT(out.numel(), 0u);
+    ws.recycle(std::move(out));
+  }
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 // padding), depths that straddle the int32/int64 accumulator bound, and
 // a seeded randomized round of layer-like configs (fixed RNG, so
 // failures reproduce exactly).  Registry selection, the env override and
-// the deprecated positional shims are covered at the end.
+// the deprecated positional shims are covered next, then the
+// conv-described op (IgemmConv) against a naive direct convolution and
+// the public im2col + column-matrix lowering.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "ccq/common/rng.hpp"
 #include "ccq/hw/fixed_point.hpp"
 #include "ccq/tensor/igemm.hpp"
+#include "ccq/tensor/im2col.hpp"
 
 namespace ccq {
 namespace {
@@ -778,6 +781,245 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
           << "kXW kernel=" << igemm_kernel_str(kernel) << " idx=" << i;
     }
   }
+}
+
+// ---- convolution ops (IgemmConv) --------------------------------------------
+
+/// The conv spec: a direct convolution over NCHW codes with zero
+/// padding, exact int64 — acc[(img·m + row)·n + oy·ow + ox] =
+/// Σ_{c,ky,kx} W[row, c, ky, kx] · X[img, c, oy·s + ky − pad,
+/// ox·s + kx − pad].
+std::vector<std::int64_t> ref_conv(const ConvGeometry& g, std::size_t images,
+                                   std::size_t m,
+                                   const std::vector<std::int32_t>& w,
+                                   const std::vector<std::int32_t>& x) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), kk = g.kernel;
+  std::vector<std::int64_t> acc(images * m * oh * ow, 0);
+  for (std::size_t img = 0; img < images; ++img)
+    for (std::size_t row = 0; row < m; ++row)
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          std::int64_t sum = 0;
+          for (std::size_t c = 0; c < g.in_channels; ++c)
+            for (std::size_t ky = 0; ky < kk; ++ky)
+              for (std::size_t kx = 0; kx < kk; ++kx) {
+                const long iy = static_cast<long>(oy * g.stride + ky) -
+                                static_cast<long>(g.pad);
+                const long ix = static_cast<long>(ox * g.stride + kx) -
+                                static_cast<long>(g.pad);
+                if (iy < 0 || ix < 0 || iy >= static_cast<long>(g.in_h) ||
+                    ix >= static_cast<long>(g.in_w)) {
+                  continue;
+                }
+                sum += std::int64_t{w[((row * g.in_channels + c) * kk + ky) *
+                                          kk + kx]} *
+                       x[((img * g.in_channels + c) * g.in_h +
+                          static_cast<std::size_t>(iy)) * g.in_w +
+                         static_cast<std::size_t>(ix)];
+              }
+          acc[((img * m + row) * oh + oy) * ow + ox] = sum;
+        }
+  return acc;
+}
+
+/// One conv problem in one activation code type, run through every
+/// eligible kernel, both epilogues, threads and position-tile widths.
+/// Outputs are compared as floats (requantized codes convert exactly).
+template <typename TX>
+void expect_conv_op_exact(const ConvGeometry& g, std::size_t images,
+                          std::size_t m, std::int32_t max_w,
+                          std::int32_t max_x, std::int32_t qmax, Rng& rng,
+                          const std::string& where) {
+  const std::size_t k = g.patch_size(), n = g.out_spatial();
+  std::vector<std::int32_t> w(m * k), x(images * g.in_channels * g.in_h *
+                                         g.in_w);
+  for (auto& v : w) {
+    v = static_cast<std::int32_t>(rng.uniform_int(2 * max_w + 1)) - max_w;
+  }
+  for (auto& v : x) {
+    v = static_cast<std::int32_t>(rng.uniform_int(max_x + 1));
+    if (rng.uniform() < 0.2) v = 0;
+  }
+  const std::vector<TX> xt(x.begin(), x.end());
+  std::vector<float> scale(m), bias(m);
+  std::vector<Requant> rq(m);
+  const std::int64_t bound =
+      std::int64_t{max_w} * max_x * static_cast<std::int64_t>(k);
+  for (std::size_t i = 0; i < m; ++i) {
+    scale[i] = static_cast<float>(rng.uniform(0.001, 0.1));
+    bias[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    ASSERT_TRUE(hw::make_requant(rng.uniform(0.001, 0.05),
+                                 rng.uniform(-3.0, 3.0), bound, rq[i]));
+  }
+  const std::vector<std::int64_t> acc = ref_conv(g, images, m, w, x);
+  const std::size_t out_n = images * m * n;
+
+  for (const bool requant : {false, true}) {
+    std::vector<float> want(out_n);
+    for (std::size_t idx = 0; idx < out_n; ++idx) {
+      const std::size_t row = idx / n % m;
+      want[idx] = requant ? static_cast<float>(
+                                requant_apply(acc[idx], rq[row], qmax))
+                          : static_cast<float>(acc[idx]) * scale[row] +
+                                bias[row];
+    }
+    // Runs `op` with the epilogue wired to fresh output storage of the
+    // requant code type (u8 for qmax <= 255, else i16) or float.
+    auto run = [&](IgemmOp op, std::size_t count, const ExecContext& ctx) {
+      std::vector<float> c(count, -7.0f);
+      std::vector<std::uint8_t> o8(count, 0xEE);
+      std::vector<std::int16_t> o16(count, -7);
+      if (requant) {
+        op.requant = rq.data();
+        op.requant_qmax = qmax;
+        if (qmax <= 255) {
+          op.out8 = o8.data();
+        } else {
+          op.out16 = o16.data();
+        }
+      } else {
+        op.c = c.data();
+        op.epilogue = {scale.data(), bias.data()};
+      }
+      igemm_run(op, ctx);
+      if (requant) {
+        for (std::size_t i = 0; i < count; ++i) {
+          c[i] = qmax <= 255 ? o8[i] : o16[i];
+        }
+      }
+      return c;
+    };
+    const std::int32_t w_abs = igemm_max_abs(w);
+    for (const IgemmAccum accum : {IgemmAccum::kInt32, IgemmAccum::kInt64}) {
+      if (accum == IgemmAccum::kInt32 && !igemm_fits_int32(w_abs, max_x, k)) {
+        continue;
+      }
+      for (const IgemmKernel kernel : eligible_kernels(w_abs, max_x, accum)) {
+        const IgemmPanel panel = igemm_pack(w, m, k, IgemmForm::kWX, kernel);
+        IgemmOp base;
+        base.form = IgemmForm::kWX;
+        base.m = m;
+        base.n = n;
+        base.k = k;
+        base.panel = &panel;
+        base.accum = accum;
+        base.x_bound = max_x;
+        // Column-matrix lowering through the public API, image by image.
+        std::vector<float> lowered;
+        std::vector<TX> cols(k * n);
+        for (std::size_t img = 0; img < images; ++img) {
+          im2col(xt.data() + img * g.in_channels * g.in_h * g.in_w, g,
+                 cols.data());
+          IgemmOp col_op = base;
+          col_op.set_codes(cols.data());
+          const std::vector<float> part = run(col_op, m * n, ctx_for(1));
+          lowered.insert(lowered.end(), part.begin(), part.end());
+        }
+        for (const std::size_t threads : {1, 2, 4}) {
+          for (const std::size_t nc : {std::size_t{256}, std::size_t{7}}) {
+            IgemmOp op = base;
+            op.conv = IgemmConv{.geometry = g, .images = images};
+            op.blocking.nc = nc;
+            op.set_codes(xt.data());
+            const std::vector<float> got = run(op, out_n, ctx_for(threads));
+            const std::string ctx_msg =
+                where + " kernel=" + igemm_kernel_str(kernel) +
+                " accum=" + (accum == IgemmAccum::kInt32 ? "i32" : "i64") +
+                (requant ? " requant" : " float") +
+                " threads=" + std::to_string(threads) +
+                " nc=" + std::to_string(nc);
+            ASSERT_EQ(got, want) << ctx_msg << " vs naive";
+            ASSERT_EQ(got, lowered) << ctx_msg << " vs im2col";
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The conv-described op must equal both the naive direct convolution
+/// and the public im2col + column-matrix lowering, bit for bit, across
+/// kernels, code types, batch sizes (tiles straddle image boundaries),
+/// kernel sizes, strides, pads, an odd H≠W input, both epilogues and
+/// thread counts.
+TEST(IgemmConvOp, MatchesIm2colAndNaiveConvolution) {
+  for (const bool wide : {false, true}) {
+    for (const std::size_t images : {1, 2, 3, 8, 33}) {
+      for (const std::size_t kernel : {1, 3, 5}) {
+        for (const std::size_t stride : {1, 2}) {
+          for (const std::size_t pad : {0, 1, 2}) {
+            const ConvGeometry g{.in_channels = 3,
+                                 .in_h = 7,
+                                 .in_w = 5,
+                                 .kernel = kernel,
+                                 .stride = stride,
+                                 .pad = pad};
+            Rng rng(0xC0 + images * 1000 + kernel * 100 + stride * 10 + pad +
+                    (wide ? 7 : 0));
+            const std::string where =
+                std::string(wide ? "i16" : "u8") +
+                " images=" + std::to_string(images) +
+                " kernel=" + std::to_string(kernel) +
+                " stride=" + std::to_string(stride) +
+                " pad=" + std::to_string(pad);
+            if (wide) {
+              // 10-bit codes in and out: vec16 + scalar.
+              expect_conv_op_exact<std::int16_t>(g, images, 5, 100, 1000,
+                                                 4095, rng, where);
+            } else {
+              // 8-bit codes: every kernel, vec-packed included.
+              expect_conv_op_exact<std::uint8_t>(g, images, 5, 7, 255, 255,
+                                                 rng, where);
+            }
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IgemmConvOp, RejectsGeometryThatDoesNotMatchTheOp) {
+  const ConvGeometry g{.in_channels = 2, .in_h = 5, .in_w = 4, .kernel = 3,
+                       .stride = 1, .pad = 1};
+  const std::size_t m = 3, k = g.patch_size(), n = g.out_spatial();
+  const std::vector<std::int32_t> w(m * k, 1);
+  const IgemmPanel panel =
+      igemm_pack(w, m, k, IgemmForm::kWX, IgemmKernel::kVec16);
+  const std::vector<std::uint8_t> x(2 * 5 * 4, 1);
+  const std::vector<float> scale(m, 1.0f), bias(m, 0.0f);
+  std::vector<float> c(m * n);
+  IgemmOp op;
+  op.form = IgemmForm::kWX;
+  op.m = m;
+  op.n = n;
+  op.k = k;
+  op.panel = &panel;
+  op.x8 = x.data();
+  op.c = c.data();
+  op.epilogue = {scale.data(), bias.data()};
+  op.accum = IgemmAccum::kInt32;
+  op.x_bound = 1;
+  op.conv = IgemmConv{.geometry = g, .images = 1};
+  EXPECT_NO_THROW(igemm_run(op));
+
+  // Patch size C·kernel² ≠ k (the panel still matches the op's k).
+  IgemmOp bad_patch = op;
+  bad_patch.conv->geometry.in_channels = 3;
+  EXPECT_THROW(igemm_run(bad_patch), Error);
+
+  // Output positions out_h·out_w ≠ n.
+  IgemmOp bad_spatial = op;
+  bad_spatial.conv->geometry.in_h = 6;
+  EXPECT_THROW(igemm_run(bad_spatial), Error);
+  IgemmOp bad_stride = op;
+  bad_stride.conv->geometry.stride = 2;
+  EXPECT_THROW(igemm_run(bad_stride), Error);
+
+  // Zero stride: no output grid to walk.
+  IgemmOp zero_stride = op;
+  zero_stride.conv->geometry.stride = 0;
+  EXPECT_THROW(igemm_run(zero_stride), Error);
 }
 
 }  // namespace

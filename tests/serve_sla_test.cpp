@@ -505,11 +505,17 @@ TEST(ServeSlaTest, DeadlineExpiresAtDequeueNeverAtAdmission) {
 
   // The budget expires while queued…
   vs.now += 1'000'000;  // 1 ms ≫ 100 us
-  // …and the flush the second submit triggers drops it at dequeue time:
-  // it never occupies a batch slot, and its future fails typed.
+  // …and the next flush drops it at dequeue time: it never occupies a
+  // batch slot, and its future fails typed.  That flush is either the
+  // one the second submit triggers, or — when the worker first looks at
+  // the queue after the clock jump — the expiry itself, which leaves the
+  // second request waiting for a batch partner that never comes
+  // (max_delay_us is unbounded).  shutdown() flushes what remains, so
+  // both interleavings end here; drain() would wait forever on the
+  // second.
   std::future<void> reply_b =
       vs.server.submit(handle, sample_b, out_b, SubmitOptions{});
-  vs.server.drain();
+  vs.server.shutdown();
   try {
     reply_a.get();
     FAIL() << "expired request was served";
@@ -522,14 +528,17 @@ TEST(ServeSlaTest, DeadlineExpiresAtDequeueNeverAtAdmission) {
 
   // Same-instant dequeue is NOT a miss: the deadline bounds queueing
   // time that actually elapsed, and none has.
+  VirtualClockServer fresh;
+  const ModelHandle fresh_handle = fresh.server.load("m", make_network(), mc);
   Tensor out_c, out_d;
-  std::future<void> reply_c = vs.server.submit(handle, sample_a, out_c, tight);
+  std::future<void> reply_c =
+      fresh.server.submit(fresh_handle, sample_a, out_c, tight);
   std::future<void> reply_d =
-      vs.server.submit(handle, sample_b, out_d, SubmitOptions{});
-  vs.server.drain();
+      fresh.server.submit(fresh_handle, sample_b, out_d, SubmitOptions{});
+  fresh.server.drain();
   EXPECT_NO_THROW(reply_c.get());
   EXPECT_NO_THROW(reply_d.get());
-  vs.server.shutdown();
+  fresh.server.shutdown();
 }
 
 TEST(ServeSlaTest, MaxDeadlineSaturatesInsteadOfWrapping) {

@@ -159,6 +159,48 @@ TEST(ArtifactTest, RoundTripIsBitIdentical) {
   fs::remove(path);
 }
 
+TEST(ArtifactTest, EmptyFloatAndByteSectionsRoundTrip) {
+  // A pooling layer carries empty channel_scale / bias vectors and a
+  // constant weight tensor packs to zero bytes, so loading reads both
+  // back through zero-length copies — which must not hand memcpy the
+  // null data() of an empty vector (undefined even for zero bytes).
+  hw::IntLayerPlan conv;
+  conv.kind = hw::IntLayerPlan::Kind::kConv;
+  conv.name = "conv0";
+  conv.in_channels = 3;
+  conv.out_channels = 2;
+  conv.kernel = 3;
+  conv.stride = 1;
+  conv.pad = 1;
+  conv.weight_bits = 2;
+  conv.weight_codes.assign(2 * 3 * 9, 2);
+  conv.channel_scale = {0.01f, 0.02f};
+  conv.bias = {0.1f, -0.1f};
+  conv.has_act = true;
+  conv.act_bits = 4;
+  conv.act_clip = 1.0f;
+  hw::IntLayerPlan pool;
+  pool.kind = hw::IntLayerPlan::Kind::kMaxPool;
+  pool.name = "maxpool@1";
+  const hw::IntegerNetwork direct =
+      hw::IntegerNetwork::from_plans({conv, pool});
+  ASSERT_TRUE(direct.plan(1).channel_scale.empty());
+  ASSERT_TRUE(direct.plan(1).bias.empty());
+  ASSERT_TRUE(pack_codes(direct.plan(0).weight_codes).bytes.empty());
+
+  const std::string path = temp_path("ccq_serve_empty_sections.ccqa");
+  export_artifact(direct, path);
+  const hw::IntegerNetwork loaded = load_artifact(path);
+  ASSERT_EQ(loaded.layer_count(), 2u);
+  EXPECT_TRUE(loaded.plan(1).channel_scale.empty());
+  EXPECT_TRUE(loaded.plan(1).bias.empty());
+  EXPECT_EQ(loaded.plan(0).weight_codes, direct.plan(0).weight_codes);
+  EXPECT_EQ(loaded.plan(0).bias, direct.plan(0).bias);
+  const Tensor x = make_inputs(2);
+  EXPECT_EQ(max_abs_diff(direct.forward(x), loaded.forward(x)), 0.0f);
+  fs::remove(path);
+}
+
 TEST(ArtifactTest, AtLeast4xSmallerThanFloatSnapshot) {
   auto model = make_mixed_model();
   const std::string snapshot = temp_path("ccq_serve_size.snap");

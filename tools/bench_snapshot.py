@@ -10,6 +10,7 @@ Four suites cover the integer-inference datapath and the serving stack:
   engine    BM_EngineForward -> BENCH_engine.json
             the end-to-end fused engine forward (u8 codes through igemm
             epilogues, integer pooling, final decode) vs forward_reference
+            on the 16x16 width-0.25 SimpleCNN, at batch 1, 8 and 32
   serve     BM_Serve* (bench_serve binary) -> BENCH_serve.json
             the registry-routed inference server: closed-loop capacity
             (producers x workers), an open-loop offered-load sweep with
@@ -95,24 +96,31 @@ def run_bench(build_dir: pathlib.Path, suite: dict) -> dict:
 
 
 def parse_mode_rows(raw: dict, suite: dict) -> dict:
-    """google-benchmark JSON -> {"<bits>/<mode-name>": row} with speedups."""
+    """google-benchmark JSON -> {"<bits>/<mode-name>[/b<batch>]": row} with
+    speedups against the reference row of the same bits (and batch)."""
     bench_filter, modes = suite["filter"], suite["modes"]
     rows = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate" or bench_filter not in b["name"]:
             continue
-        # Name is <filter>/<bits>/<mode>.
+        # Name is <filter>/<bits>/<mode>[/<batch>].
         parts = b["name"].split("/")
         bits, mode = int(parts[1]), int(parts[2])
-        rows[f"{bits}/{modes[mode]}"] = {
+        batch = f"/b{int(parts[3])}" if len(parts) > 3 else ""
+        row = {
             "bits": bits,
             "mode": modes[mode],
             "real_time_ns": real_time_ns(b),
             "items_per_second": b.get("items_per_second"),
             "allocs_per_iter": b.get("allocs_per_iter"),
         }
+        if batch:
+            row["batch"] = int(parts[3])
+            row["per_sample_ns"] = row["real_time_ns"] / row["batch"]
+        rows[f"{bits}/{modes[mode]}{batch}"] = row
     for key, row in rows.items():
-        ref = rows.get(f"{row['bits']}/reference")
+        batch = f"/b{row['batch']}" if "batch" in row else ""
+        ref = rows.get(f"{row['bits']}/reference{batch}")
         if ref and row["mode"] != "reference":
             row["speedup_vs_reference"] = ref["real_time_ns"] / row["real_time_ns"]
     return rows
