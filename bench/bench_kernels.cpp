@@ -332,7 +332,7 @@ struct KernelEnvPin {
 };
 
 /// The igemm kernel grid: each registry variant against the naive int64
-/// triple loop (`forward_reference`) on the same compiled net.  Args are
+/// MAC step of `forward_reference` on the same compiled net.  Args are
 /// {bits, mode} with mode 0=reference, 1=scalar, 2=vec16, 3=vec-packed
 /// (the mode names index igemm_kernel_names()).  All modes run the
 /// identical workspace-leased datapath, so the time ratios isolate the
@@ -413,9 +413,10 @@ hw::IntegerNetwork engine_net(int bits) {
   return hw::IntegerNetwork::compile(model);
 }
 
-/// End-to-end engine forward, fused datapath vs the naive int64
-/// `forward_reference` oracle.  Args are {bits, mode, batch} with mode
-/// 0=reference, 1=fused (auto kernel selection).  Outputs are
+/// End-to-end engine forward, fused datapath vs the `forward_reference`
+/// oracle (the same walk with a naive int64 direct-convolution MAC
+/// step).  Args are {bits, mode, batch} with mode 0=reference, 1=fused
+/// (auto kernel selection).  Outputs are
 /// bit-identical by construction (engine_datapath_test), so the rows
 /// track the fused datapath's speed, how its per-sample cost moves with
 /// batch size (items are MACs, so items_per_second is MAC/s), and the

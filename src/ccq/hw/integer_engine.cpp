@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/hw/fixed_point.hpp"
@@ -485,10 +486,8 @@ void apply_act(Tensor& x, const IntLayerPlan& plan) {
 // ---- code-domain helpers ---------------------------------------------------
 //
 // While every layer keeps a quantized activation grid, the engine carries
-// the activation *codes* (u8 for grids up to 8 bits, i16 above; exact
-// int32 in the reference path) instead of a float tensor.  These helpers
-// are shared by forward and forward_reference so the two datapaths stay
-// bit-identical by construction.
+// the activation *codes* (u8 for grids up to 8 bits, i16 above) instead
+// of a float tensor.
 
 /// Valid-window pool output extent (matches nn::MaxPool2d/AvgPool2d).
 inline std::size_t pool_out(std::size_t in, std::size_t k, std::size_t s) {
@@ -588,27 +587,16 @@ void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
   }
 }
 
-/// Owner of the flowing activation codes in forward(): exactly one of
+/// Owner of the flowing activation codes in the walk: exactly one of
 /// the u8 / i16 leases is engaged while the network stays in the code
 /// domain (leases have deleted move-assignment, hence the optionals).
 class CodeStore {
  public:
   bool engaged() const { return b8_.has_value() || i16_.has_value(); }
-  bool is_u8() const { return b8_.has_value(); }
-  void adopt(Workspace::ByteLease lease) {
-    reset();
-    b8_.emplace(std::move(lease));
-  }
-  void adopt(Workspace::ShortLease lease) {
-    reset();
-    i16_.emplace(std::move(lease));
-  }
   void reset() {
     b8_.reset();
     i16_.reset();
   }
-  const std::uint8_t* u8() const { return b8_->data(); }
-  const std::int16_t* i16() const { return i16_->data(); }
   /// Call `f` with the engaged typed code pointer.
   template <typename F>
   void visit(F&& f) const {
@@ -618,31 +606,136 @@ class CodeStore {
       f(static_cast<const std::int16_t*>(i16_->data()));
     }
   }
+  /// Lease `n` codes of type T (u8 or i16), let `fill` write them, then
+  /// make them the flowing codes; `fill` may still read the old ones.
+  template <typename T, typename F>
+  void produce(Workspace& ws, std::size_t n, F&& fill) {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      Workspace::ByteLease lease = ws.bytes(n);
+      fill(lease.data());
+      reset();
+      b8_.emplace(std::move(lease));
+    } else {
+      Workspace::ShortLease lease = ws.shorts(n);
+      fill(lease.data());
+      reset();
+      i16_.emplace(std::move(lease));
+    }
+  }
+  /// `produce` at the narrowest width holding codes in [0, qmax].
+  template <typename F>
+  void produce(Workspace& ws, std::size_t n, std::int64_t qmax, F&& fill) {
+    if (qmax <= 255) {
+      produce<std::uint8_t>(ws, n, fill);
+    } else {
+      produce<std::int16_t>(ws, n, fill);
+    }
+  }
+  /// Replace the codes with `n` codes of the same width, written by
+  /// `f(src, dst)` (pooling).
+  template <typename F>
+  void map(Workspace& ws, std::size_t n, F&& f) {
+    if (b8_.has_value()) {
+      const std::uint8_t* src = b8_->data();
+      produce<std::uint8_t>(ws, n, [&](std::uint8_t* dst) { f(src, dst); });
+    } else {
+      const std::int16_t* src = i16_->data();
+      produce<std::int16_t>(ws, n, [&](std::int16_t* dst) { f(src, dst); });
+    }
+  }
 
  private:
   std::optional<Workspace::ByteLease> b8_;
   std::optional<Workspace::ShortLease> i16_;
 };
 
-}  // namespace
+void set_out(IgemmOp& op, std::uint8_t* out) { op.out8 = out; }
+void set_out(IgemmOp& op, std::int16_t* out) { op.out16 = out; }
 
-Tensor IntegerNetwork::forward(const Tensor& x) const {
-  return forward(x, Workspace::scratch());
+/// The one point where the two entry points' walks differ: how a
+/// conv/linear op's integer MACs are executed.  The op arrives fully
+/// described (shapes, activation codes, output, epilogue).
+using MacStep = void (*)(const IgemmOp& op, const IntLayerPlan& plan,
+                         const ExecContext& ctx);
+
+/// Serving MAC step: the layer's selected igemm kernel over its packed
+/// panel.
+void igemm_mac(const IgemmOp& op, const IntLayerPlan&, const ExecContext& ctx) {
+  igemm_run(op, ctx);
 }
 
-Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws) const {
-  return forward(x, ws, ExecContext::global());
+/// Specification MAC step: a naive int64 dot per output element over the
+/// plan's unpacked `weight_codes` — a direct NCHW loop with stride and
+/// zero padding — then the same `requant_apply` or float epilogue as the
+/// kernels.  No packing, kernel selection, tiling, gather or accumulator
+/// narrowing, so it is an independent oracle for all of them.
+template <typename T>
+void reference_mac_codes(const IgemmOp& op, const T* x,
+                         const IntLayerPlan& plan, const ExecContext& ctx) {
+  // A linear layer is a 1×1 convolution over one 1×1 image per row.
+  const ConvGeometry g =
+      op.conv ? op.conv->geometry
+              : ConvGeometry{.in_channels = op.k, .in_h = 1, .in_w = 1};
+  const std::size_t images = op.conv ? op.conv->images : op.m;
+  const std::size_t channels = op.conv ? op.m : op.n;
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  // Integer MACs are exact, so any partition over the disjoint output
+  // channels is trivially deterministic.
+  parallel_for(ctx, channels, 4, [&](std::size_t oc0, std::size_t oc1) {
+    for (std::size_t oc = oc0; oc < oc1; ++oc) {
+      for (std::size_t img = 0; img < images; ++img) {
+        const T* image = x + img * g.in_channels * g.in_h * g.in_w;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            std::int64_t acc = 0;
+            for (std::size_t c = 0; c < g.in_channels; ++c) {
+              for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+                // Padded-frame coordinates; taps outside the image read 0.
+                const std::size_t iy = oy * g.stride + ky;
+                if (iy < g.pad || iy >= g.in_h + g.pad) continue;
+                const T* row = image + (c * g.in_h + iy - g.pad) * g.in_w;
+                const std::int32_t* w = plan.weight_codes.data() + oc * op.k +
+                                        (c * g.kernel + ky) * g.kernel;
+                for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+                  const std::size_t ix = ox * g.stride + kx;
+                  if (ix < g.pad || ix >= g.in_w + g.pad) continue;
+                  acc += std::int64_t{w[kx]} * std::int64_t{row[ix - g.pad]};
+                }
+              }
+            }
+            const std::size_t at = ((img * channels + oc) * oh + oy) * ow + ox;
+            if (op.requant == nullptr) {
+              op.c[at] = static_cast<float>(acc) * plan.channel_scale[oc] +
+                         plan.bias[oc];
+            } else if (op.out8 != nullptr) {
+              op.out8[at] = static_cast<std::uint8_t>(
+                  requant_apply(acc, op.requant[oc], op.requant_qmax));
+            } else {
+              op.out16[at] = static_cast<std::int16_t>(
+                  requant_apply(acc, op.requant[oc], op.requant_qmax));
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
-Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
-                               const ExecContext& ctx) const {
-  return forward(x, ws, ctx, 0);
+void reference_mac(const IgemmOp& op, const IntLayerPlan& plan,
+                   const ExecContext& ctx) {
+  if (op.x8 != nullptr) {
+    reference_mac_codes(op, op.x8, plan, ctx);
+  } else if (op.x16 != nullptr) {
+    reference_mac_codes(op, op.x16, plan, ctx);
+  } else {
+    reference_mac_codes(op, op.x, plan, ctx);
+  }
 }
 
-Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
-                               const ExecContext& ctx,
-                               std::size_t rung) const {
-  CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
+/// The engine walk over one rung's plans; `mac` executes each conv/linear
+/// layer's MACs.
+Tensor walk(const std::vector<IntLayerPlan>& plans, const Tensor& x,
+            Workspace& ws, const ExecContext& ctx, MacStep mac) {
   CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
   // Representation state: while every layer keeps a quantized activation
   // grid the batch flows as integer codes (`codes` engaged, described by
@@ -657,9 +750,9 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
   {
     // Snap the input onto its 8-bit grid (standard input quantization).
     telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    Workspace::ByteLease input = ws.bytes(x.numel());
-    snap_codes(x, kInputScale, 255, input.data());
-    codes.adopt(std::move(input));
+    codes.produce<std::uint8_t>(ws, x.numel(), [&](std::uint8_t* dst) {
+      snap_codes(x, kInputScale, 255, dst);
+    });
   }
 
   // After an unfused conv/linear: apply the float activation, then either
@@ -672,15 +765,8 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
       scale = act_scale(plan);
       const std::int64_t qmax = (std::int64_t{1} << plan.act_bits) - 1;
       telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-      if (qmax <= 255) {
-        Workspace::ByteLease lease = ws.bytes(out.numel());
-        snap_codes(out, scale, qmax, lease.data());
-        codes.adopt(std::move(lease));
-      } else {
-        Workspace::ShortLease lease = ws.shorts(out.numel());
-        snap_codes(out, scale, qmax, lease.data());
-        codes.adopt(std::move(lease));
-      }
+      codes.produce(ws, out.numel(), qmax,
+                    [&](auto* dst) { snap_codes(out, scale, qmax, dst); });
       ws.recycle(std::move(out));
     } else {
       codes.reset();
@@ -690,7 +776,7 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
 
   // One conv/linear layer.  `op` arrives with its form and shapes set;
   // this adds the plan's panel and bounds, points it at the flowing
-  // activations, and issues the single igemm.  A fused layer's requant
+  // activations, and issues the single MAC step.  A fused layer's requant
   // epilogue writes the next layer's codes — no float tensor is
   // materialised at the boundary; the rest take the float epilogue and
   // unfused_output.
@@ -701,26 +787,17 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
     op.x_bound = plan.in_code_bound;
     op.ws = &ws;
     auto run_on_codes = [&] {
-      codes.visit([&](const auto* src) {
-        op.set_codes(src);
-        igemm_run(op, ctx);
-      });
+      codes.visit([&](const auto* src) { op.set_codes(src); });
+      mac(op, plan, ctx);
     };
-    const std::size_t elems = shape_numel(out_shape);
     if (codes.engaged() && plan.requant_fused) {
       op.requant = plan.requant.data();
       op.requant_qmax = plan.out_qmax;
-      if (plan.out_qmax <= 255) {
-        Workspace::ByteLease out = ws.bytes(elems);
-        op.out8 = out.data();
-        run_on_codes();
-        codes.adopt(std::move(out));
-      } else {
-        Workspace::ShortLease out = ws.shorts(elems);
-        op.out16 = out.data();
-        run_on_codes();
-        codes.adopt(std::move(out));
-      }
+      codes.produce(ws, shape_numel(out_shape), plan.out_qmax,
+                    [&](auto* dst) {
+                      set_out(op, dst);
+                      run_on_codes();
+                    });
       scale = act_scale(plan);
     } else {
       op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
@@ -733,7 +810,7 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
         Workspace::IntLease xcodes = ws.ints(act.numel());
         to_int_codes(act, scale, xcodes.data());
         op.x = xcodes.data();
-        igemm_run(op, ctx);
+        mac(op, plan, ctx);
         ws.recycle(std::move(act));
       }
       unfused_output(std::move(out), plan);
@@ -741,7 +818,7 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
     shape = out_shape;
   };
 
-  for (const auto& plan : rungs_[rung]) {
+  for (const auto& plan : plans) {
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv: {
         const std::size_t n = shape[0], h = shape[2], w = shape[3];
@@ -751,8 +828,8 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
                              .kernel = plan.kernel,
                              .stride = plan.stride,
                              .pad = plan.pad};
-        // The whole batch is one igemm: the op reads the NCHW codes
-        // directly and writes NCHW output (IgemmConv).
+        // The whole batch is one op: it reads the NCHW codes directly
+        // and writes NCHW output (IgemmConv).
         IgemmOp op;
         op.form = IgemmForm::kWX;
         op.m = plan.out_channels;
@@ -783,30 +860,16 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
               pool_out(h, plan.pool_kernel, plan.pool_stride);
           const std::size_t ow =
               pool_out(w, plan.pool_kernel, plan.pool_stride);
-          const std::size_t elems = n * c * oh * ow;
-          if (codes.is_u8()) {
-            Workspace::ByteLease out = ws.bytes(elems);
+          codes.map(ws, n * c * oh * ow, [&](const auto* src, auto* dst) {
             if (avg) {
               telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-              pool_avg_codes(codes.u8(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
+              pool_avg_codes(src, dst, n, c, h, w, plan.pool_kernel,
+                             plan.pool_stride);
             } else {
-              pool_max_codes(codes.u8(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
+              pool_max_codes(src, dst, n, c, h, w, plan.pool_kernel,
+                             plan.pool_stride);
             }
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            if (avg) {
-              telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-              pool_avg_codes(codes.i16(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            } else {
-              pool_max_codes(codes.i16(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            }
-            codes.adopt(std::move(out));
-          }
+          });
           shape = {n, c, oh, ow};
         } else if (avg) {
           nn::AvgPool2d pool(plan.pool_kernel, plan.pool_stride);
@@ -834,15 +897,9 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
           const std::size_t n = shape[0], c = shape[1];
           const std::size_t hw = shape[2] * shape[3];
           telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-          if (codes.is_u8()) {
-            Workspace::ByteLease out = ws.bytes(n * c);
-            gap_codes(codes.u8(), out.data(), n, c, hw);
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(n * c);
-            gap_codes(codes.i16(), out.data(), n, c, hw);
-            codes.adopt(std::move(out));
-          }
+          codes.map(ws, n * c, [&](const auto* src, auto* dst) {
+            gap_codes(src, dst, n, c, hw);
+          });
           shape = {n, c};
         } else {
           nn::GlobalAvgPool gap;
@@ -873,6 +930,28 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
   return act;
 }
 
+}  // namespace
+
+Tensor IntegerNetwork::forward(const Tensor& x) const {
+  return forward(x, Workspace::scratch());
+}
+
+Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws) const {
+  return forward(x, ws, ExecContext::global());
+}
+
+Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
+                               const ExecContext& ctx) const {
+  return forward(x, ws, ctx, 0);
+}
+
+Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
+                               const ExecContext& ctx,
+                               std::size_t rung) const {
+  CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
+  return walk(rungs_[rung], x, ws, ctx, igemm_mac);
+}
+
 Tensor IntegerNetwork::forward_reference(const Tensor& x) const {
   return forward_reference(x, Workspace::scratch(), ExecContext::global());
 }
@@ -886,245 +965,7 @@ Tensor IntegerNetwork::forward_reference(const Tensor& x, Workspace& ws,
                                          const ExecContext& ctx,
                                          std::size_t rung) const {
   CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
-  CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
-  // Mirror of forward()'s representation state with exact int32 codes:
-  // identical branching and identical requant_apply / pool helpers, but
-  // naive int64 triple loops instead of the packed kernels — integer
-  // arithmetic is associative, so the two are bit-identical.
-  std::optional<Workspace::IntLease> codes;
-  Tensor act;
-  Shape shape = x.shape();
-  float scale = kInputScale;
-  {
-    telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    codes.emplace(ws.ints(x.numel()));
-    snap_codes(x, kInputScale, 255, codes->data());
-  }
-
-  auto adopt = [&](Workspace::IntLease lease) {
-    codes.reset();
-    codes.emplace(std::move(lease));
-  };
-
-  auto unfused_output = [&](Tensor out, const IntLayerPlan& plan) {
-    apply_act(out, plan);
-    if (plan.has_act && plan.act_bits < 16) {
-      scale = act_scale(plan);
-      const std::int64_t qmax = (std::int64_t{1} << plan.act_bits) - 1;
-      telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-      Workspace::IntLease lease = ws.ints(out.numel());
-      snap_codes(out, scale, qmax, lease.data());
-      adopt(std::move(lease));
-      ws.recycle(std::move(out));
-    } else {
-      codes.reset();
-      act = std::move(out);
-    }
-  };
-
-  for (const auto& plan : rungs_[rung]) {
-    switch (plan.kind) {
-      case IntLayerPlan::Kind::kConv: {
-        const std::size_t n = shape[0], h = shape[2], w = shape[3];
-        const ConvGeometry g{.in_channels = plan.in_channels,
-                             .in_h = h,
-                             .in_w = w,
-                             .kernel = plan.kernel,
-                             .stride = plan.stride,
-                             .pad = plan.pad};
-        const std::size_t oh = g.out_h(), ow = g.out_w();
-        const std::size_t patch = g.patch_size(), spatial = g.out_spatial();
-        const Shape out_shape = {n, plan.out_channels, oh, ow};
-        const bool fused = codes.has_value() && plan.requant_fused;
-        // Source codes: the flowing int32 codes, or a fresh snap of the
-        // float activation on the fallback path.
-        std::optional<Workspace::IntLease> snap;
-        const std::int32_t* src = nullptr;
-        if (codes.has_value()) {
-          src = codes->data();
-        } else {
-          snap.emplace(ws.ints(act.numel()));
-          to_int_codes(act, scale, snap->data());
-          src = snap->data();
-        }
-        Workspace::IntLease cols = ws.ints(patch * spatial);
-        std::optional<Workspace::IntLease> out_codes;
-        Tensor out;
-        if (fused) {
-          out_codes.emplace(ws.ints(n * plan.out_channels * spatial));
-        } else {
-          out = ws.tensor_uninit(out_shape);
-        }
-        for (std::size_t img = 0; img < n; ++img) {
-          im2col(src + img * plan.in_channels * h * w, g, cols.data(), ctx);
-          float* dstf = fused ? nullptr
-                              : out.data().data() +
-                                    img * plan.out_channels * spatial;
-          std::int32_t* dstc =
-              fused ? out_codes->data() + img * plan.out_channels * spatial
-                    : nullptr;
-          // Integer MACs are exact, so any partition over the disjoint
-          // output-channel rows is trivially deterministic.
-          parallel_for(ctx, plan.out_channels, 4,
-                       [&](std::size_t oc0, std::size_t oc1) {
-            for (std::size_t oc = oc0; oc < oc1; ++oc) {
-              const std::int32_t* wrow = plan.weight_codes.data() + oc * patch;
-              for (std::size_t s = 0; s < spatial; ++s) {
-                std::int64_t acc = 0;  // the integer MAC datapath
-                for (std::size_t p = 0; p < patch; ++p) {
-                  acc += static_cast<std::int64_t>(wrow[p]) *
-                         static_cast<std::int64_t>(
-                             cols.data()[p * spatial + s]);
-                }
-                if (fused) {
-                  dstc[oc * spatial + s] =
-                      requant_apply(acc, plan.requant[oc], plan.out_qmax);
-                } else {
-                  dstf[oc * spatial + s] =
-                      static_cast<float>(acc) * plan.channel_scale[oc] +
-                      plan.bias[oc];
-                }
-              }
-            }
-          });
-        }
-        if (!codes.has_value()) ws.recycle(std::move(act));
-        if (fused) {
-          adopt(std::move(*out_codes));
-          scale = act_scale(plan);
-        } else {
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kLinear: {
-        CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
-                  "linear input mismatch in integer engine");
-        const std::size_t n = shape[0];
-        const Shape out_shape = {n, plan.out_features};
-        const bool fused = codes.has_value() && plan.requant_fused;
-        std::optional<Workspace::IntLease> snap;
-        const std::int32_t* src = nullptr;
-        if (codes.has_value()) {
-          src = codes->data();
-        } else {
-          snap.emplace(ws.ints(act.numel()));
-          to_int_codes(act, scale, snap->data());
-          src = snap->data();
-        }
-        std::optional<Workspace::IntLease> out_codes;
-        Tensor out;
-        if (fused) {
-          out_codes.emplace(ws.ints(n * plan.out_features));
-        } else {
-          out = ws.tensor_uninit(out_shape);
-        }
-        for (std::size_t img = 0; img < n; ++img) {
-          const std::int32_t* arow = src + img * plan.in_features;
-          for (std::size_t oc = 0; oc < plan.out_features; ++oc) {
-            const std::int32_t* wrow =
-                plan.weight_codes.data() + oc * plan.in_features;
-            std::int64_t acc = 0;
-            for (std::size_t p = 0; p < plan.in_features; ++p) {
-              acc += static_cast<std::int64_t>(wrow[p]) *
-                     static_cast<std::int64_t>(arow[p]);
-            }
-            if (fused) {
-              out_codes->data()[img * plan.out_features + oc] =
-                  requant_apply(acc, plan.requant[oc], plan.out_qmax);
-            } else {
-              out(img, oc) =
-                  static_cast<float>(acc) * plan.channel_scale[oc] +
-                  plan.bias[oc];
-            }
-          }
-        }
-        if (!codes.has_value()) ws.recycle(std::move(act));
-        if (fused) {
-          adopt(std::move(*out_codes));
-          scale = act_scale(plan);
-        } else {
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kMaxPool:
-      case IntLayerPlan::Kind::kAvgPool: {
-        const bool avg = plan.kind == IntLayerPlan::Kind::kAvgPool;
-        if (codes.has_value()) {
-          const std::size_t n = shape[0], c = shape[1], h = shape[2],
-                            w = shape[3];
-          const std::size_t oh =
-              pool_out(h, plan.pool_kernel, plan.pool_stride);
-          const std::size_t ow =
-              pool_out(w, plan.pool_kernel, plan.pool_stride);
-          Workspace::IntLease out = ws.ints(n * c * oh * ow);
-          if (avg) {
-            telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-            pool_avg_codes(codes->data(), out.data(), n, c, h, w,
-                           plan.pool_kernel, plan.pool_stride);
-          } else {
-            pool_max_codes(codes->data(), out.data(), n, c, h, w,
-                           plan.pool_kernel, plan.pool_stride);
-          }
-          adopt(std::move(out));
-          shape = {n, c, oh, ow};
-        } else if (avg) {
-          nn::AvgPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          // Averaging leaves the grid; requantize onto the current scale
-          // (what a fixed-point datapath does after a mean).
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        } else {
-          nn::MaxPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);  // inference: skip the argmax cache
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kGlobalAvgPool: {
-        if (codes.has_value()) {
-          const std::size_t n = shape[0], c = shape[1];
-          const std::size_t hw = shape[2] * shape[3];
-          telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-          Workspace::IntLease out = ws.ints(n * c);
-          gap_codes(codes->data(), out.data(), n, c, hw);
-          adopt(std::move(out));
-          shape = {n, c};
-        } else {
-          nn::GlobalAvgPool gap;
-          gap.set_training(false);
-          Tensor out = gap.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kFlatten: {
-        shape = {shape[0], shape_numel(shape) / shape[0]};
-        if (!codes.has_value()) act.resize(shape);
-        break;
-      }
-    }
-  }
-  if (codes.has_value()) {
-    act = decode_codes(codes->data(), shape, scale, ws);
-    codes.reset();
-  }
-  return act;
+  return walk(rungs_[rung], x, ws, ctx, reference_mac);
 }
 
 std::size_t IntegerNetwork::macs_per_sample(std::size_t h,

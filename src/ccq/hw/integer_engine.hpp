@@ -16,8 +16,6 @@
 //     `$CCQ_IGEMM_KERNEL`) based on its bit width and static code
 //     bounds, packs its weight codes into that kernel's panel layout,
 //     and accumulates in int32 with a statically bounded int64 fallback;
-//     the naive int64 triple loop is kept as `forward_reference`, the
-//     golden datapath every kernel is differentially tested against;
 //   * a convolution is lowered as one igemm per layer for the whole
 //     batch: the op carries the layer's `ConvGeometry` and image count
 //     (`IgemmConv`) and reads the NCHW activation codes directly.  The
@@ -33,6 +31,14 @@
 //     directly.  Layers whose output is not on a quantized grid (e.g. a
 //     classifier head) keep the float epilogue, and the engine falls
 //     back to the float-boundary datapath from there on.
+//
+// `forward` and `forward_reference` run one engine walk over the plans
+// (input snap, code storage, fused/unfused branching, float fallback and
+// re-entry, integer pooling, final decode).  They differ only in the MAC
+// step of each conv/linear layer: `igemm_run` over the packed panel, or
+// a naive int64 direct convolution / row dot over the unpacked weight
+// codes — the specification every kernel is differentially tested
+// against.
 //
 // Tests assert parity with the float-simulated forward pass — the
 // property that makes training-time accuracy numbers meaningful for the
@@ -167,7 +173,8 @@ class IntegerNetwork {
   /// `igemm_run` with each layer's selected kernel over its packed
   /// weight panel (bit-identical to `forward_reference` for every
   /// shape, bit width, kernel, blocking and thread count — the
-  /// differential property the igemm test harness enforces).  The workspace overload recycles every
+  /// differential property the engine test harness enforces).  The
+  /// workspace overload recycles every
   /// intermediate activation through the pool; recycle the returned
   /// logits too and warm repeated inference performs no float- or
   /// int-storage allocations.  The context overload names the thread
@@ -183,11 +190,13 @@ class IntegerNetwork {
   Tensor forward(const Tensor& x, Workspace& ws, const ExecContext& ctx,
                  std::size_t rung) const;
 
-  /// Specification datapath: the naive triple loop over int codes with
-  /// unconditional int64 accumulation, applying the *same*
-  /// `requant_apply` to its exact accumulators on fused layers (and the
-  /// same float epilogue on unfused ones).  Integer arithmetic is
-  /// associative, so the fused/blocked path is bit-identical to this
+  /// Specification datapath: the same engine walk as `forward`, with
+  /// each conv/linear layer's MACs run as a naive int64 direct
+  /// convolution (stride, zero padding) or row dot over the unpacked
+  /// `weight_codes` — no packed panel, kernel selection, tiling, gather
+  /// or accumulator narrowing — then the *same* `requant_apply` on fused
+  /// layers (and the same float epilogue on unfused ones).  Integer
+  /// arithmetic is associative, so `forward` is bit-identical to this
   /// oracle for every kernel, blocking and thread count; not a serving
   /// path.
   Tensor forward_reference(const Tensor& x) const;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -113,9 +114,7 @@ class ByteReader {
     return s;
   }
   std::vector<float> floats() {
-    const auto n = varint();
-    need(n * sizeof(float), std::to_string(n) + " floats");
-    std::vector<float> v(static_cast<std::size_t>(n));
+    std::vector<float> v(bounded(varint(), sizeof(float), "floats"));
     // An empty vector's data() may be null, and memcpy from or to null
     // is undefined even for zero bytes.
     if (!v.empty()) {
@@ -132,6 +131,20 @@ class ByteReader {
     return v;
   }
   bool exhausted() const { return pos_ == data_.size(); }
+
+  /// Check a declared count of entries that each take at least
+  /// `min_bytes` to encode against the unread payload, so no declared
+  /// size reaches a reserve, resize or constructor unbounded.
+  std::size_t bounded(std::uint64_t n, std::size_t min_bytes,
+                      const std::string& what) const {
+    const std::size_t left = data_.size() - pos_;
+    if (n > left / min_bytes) {
+      fail("payload truncated: declares " + std::to_string(n) + " " + what +
+           " (at least " + std::to_string(min_bytes) + " bytes each), " +
+           std::to_string(left) + " bytes remain");
+    }
+    return static_cast<std::size_t>(n);
+  }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw Error("artifact " + path_ +
@@ -184,8 +197,16 @@ std::vector<std::int32_t> read_packed_codes(ByteReader& r) {
   packed.bits = r.pod<std::uint8_t>();
   packed.count = r.varint();
   const auto byte_count = r.varint();
-  const std::size_t expect_bytes =
-      (static_cast<std::size_t>(packed.count) * packed.bits + 7) / 8;
+  // Checked: a wrapped count·bits could match a short stream and let
+  // unpack_codes size its output by the unchecked count.  A zero-bit
+  // stream costs no bytes per code, so its count stays unbounded here.
+  if (packed.bits != 0 &&
+      packed.count > (std::numeric_limits<std::uint64_t>::max() - 7) /
+                         packed.bits) {
+    r.fail(std::to_string(packed.count) + " codes at " +
+           std::to_string(int(packed.bits)) + " bits overflow the stream size");
+  }
+  const std::uint64_t expect_bytes = (packed.count * packed.bits + 7) / 8;
   if (byte_count != expect_bytes) {
     r.fail("packed code stream holds " + std::to_string(byte_count) +
            " bytes, but " + std::to_string(packed.count) + " codes at " +
@@ -217,7 +238,8 @@ void read_requant(ByteReader& r, hw::IntLayerPlan& plan) {
   plan.requant.clear();
   plan.requant_fused = r.pod<std::uint8_t>() != 0;
   if (plan.requant_fused) {
-    plan.requant.resize(static_cast<std::size_t>(r.varint()));
+    // multiplier (4) + shift (1) + zigzag bias (≥ 1) bytes per channel.
+    plan.requant.resize(r.bounded(r.varint(), 6, "requant channels"));
     for (Requant& rq : plan.requant) {
       rq.multiplier = r.pod<std::int32_t>();
       rq.shift = r.pod<std::uint8_t>();
@@ -506,6 +528,11 @@ std::string encode_multi_payload(const hw::IntegerNetwork& net) {
 /// u64 payload length, u64 checksum.
 constexpr std::size_t kHeaderBytes = 28;
 
+/// Fewest bytes `write_plan` can emit: a 1-byte name length, four u8
+/// fields, the f32 clip, nine 1-byte dims, a 5-byte empty code stream,
+/// two 1-byte float counts and the requant flag.
+constexpr std::size_t kMinPlanBytes = 26;
+
 void write_artifact_file(const std::string& path, std::uint32_t version,
                          std::size_t layer_count, const std::string& body) {
   const std::uint64_t checksum = fnv1a(body.data(), body.size());
@@ -571,14 +598,23 @@ ParsedArtifact parse_artifact(const std::string& path) {
         "<snapshot.bin> --out " + path);
   }
 
-  std::string body(static_cast<std::size_t>(payload_bytes), '\0');
-  is.read(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_bytes) {
+  // Bound the declared payload by what the file holds before
+  // allocating for it (a stream that cannot report its size holds 0).
+  const std::streamoff payload_start = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(payload_start);
+  const std::uint64_t file_holds =
+      end > payload_start ? static_cast<std::uint64_t>(end - payload_start) : 0;
+  if (payload_bytes > file_holds) {
     throw Error("artifact " + path + ": payload truncated (header declares " +
                 std::to_string(payload_bytes) + " bytes, file holds " +
-                std::to_string(is ? is.gcount() : 0) +
+                std::to_string(file_holds) +
                 ") — was the export interrupted?");
   }
+  std::string body(static_cast<std::size_t>(payload_bytes), '\0');
+  is.read(body.data(), static_cast<std::streamsize>(body.size()));
+  if (!is) throw Error("artifact " + path + ": payload read failed");
   const std::uint64_t computed = fnv1a(body.data(), body.size());
   if (computed != checksum) {
     throw Error("artifact " + path + ": checksum mismatch (header " +
@@ -588,7 +624,7 @@ ParsedArtifact parse_artifact(const std::string& path) {
   // Reject bytes past the declared payload, like the payload-internal
   // exhaustion check below: an artifact with trailing garbage was not
   // written by this exporter, however plausible its prefix.
-  if (is.peek() != std::ifstream::traits_type::eof()) {
+  if (file_holds != payload_bytes) {
     throw Error("artifact " + path + ": file holds bytes past the declared " +
                 std::to_string(payload_bytes) +
                 "-byte payload — truncated or concatenated write?");
@@ -602,7 +638,7 @@ ParsedArtifact parse_artifact(const std::string& path) {
 
   if (version == kArtifactVersion) {
     std::vector<hw::IntLayerPlan> plans;
-    plans.reserve(layer_count);
+    plans.reserve(reader.bounded(layer_count, kMinPlanBytes, "layers"));
     for (std::uint32_t i = 0; i < layer_count; ++i) {
       plans.push_back(read_plan(reader));
       validate_plan(reader, plans.back(), i);
@@ -610,7 +646,8 @@ ParsedArtifact parse_artifact(const std::string& path) {
     parsed.rungs.push_back(std::move(plans));
     parsed.info.push_back(hw::RungInfo{});
   } else {
-    const auto rung_count = static_cast<std::size_t>(reader.varint());
+    // trail step (≥ 1) + accuracy (4) bytes per rung.
+    const std::size_t rung_count = reader.bounded(reader.varint(), 5, "rungs");
     if (rung_count < 2) {
       reader.fail("multi-point artifact declares " +
                   std::to_string(rung_count) +
@@ -623,7 +660,7 @@ ParsedArtifact parse_artifact(const std::string& path) {
     }
     parsed.rungs.resize(rung_count);
     auto& base = parsed.rungs.back();
-    base.reserve(layer_count);
+    base.reserve(reader.bounded(layer_count, kMinPlanBytes, "layers"));
     for (std::uint32_t i = 0; i < layer_count; ++i) {
       base.push_back(read_plan(reader));
       validate_plan(reader, base.back(), i);

@@ -56,23 +56,15 @@ InferenceServer::~InferenceServer() { shutdown(); }
 
 ModelHandle InferenceServer::load(std::string name, hw::IntegerNetwork net,
                                   ModelConfig config) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) throw ServerStoppedError();
-  }
+  // Publish under the server mutex: a submit that resolves the new
+  // version by name must find it owned and in the workers' scan list,
+  // and a racing shutdown cannot leave it in the registry without them.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_) throw ServerStoppedError();
   ModelHandle handle = registry_.publish(std::move(name), std::move(net),
                                          config);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // A shutdown racing the publish: delist again so nothing dangles in
-    // the registry without a worker pool behind it.
-    if (stopping_) {
-      registry_.take(handle.model_->name, handle.model_->version);
-      throw ServerStoppedError();
-    }
-    handle.model_->owner = this;
-    active_.push_back(handle.model_);
-  }
+  handle.model_->owner = this;
+  active_.push_back(handle.model_);
   return handle;
 }
 

@@ -16,10 +16,11 @@
 // blocking-invariant, and therefore bit-identical between the fused
 // igemm epilogue and the naive reference loop.
 //
-// This header is the *definition* of the requantized code; both the
-// engine's serving path and its `forward_reference` oracle call
-// `requant_apply` on exact accumulators, which is what makes the
-// differential bit-identity tests meaningful.
+// This header is the *definition* of the requantized code; the igemm
+// kernels' epilogues and the naive MAC step of the engine's
+// `forward_reference` oracle both call `requant_apply` on exact
+// accumulators, which is what makes the differential bit-identity tests
+// meaningful.
 #pragma once
 
 #include <algorithm>
@@ -54,8 +55,8 @@ inline std::int64_t rne_shift(std::int64_t v, std::int32_t shift) {
 }
 
 /// Requantize one exact accumulator into a code in [0, qmax].  This is
-/// the single expression both the fused igemm epilogue and the naive
-/// reference loop evaluate — the engine's bit-identity spec.
+/// the single expression both the fused igemm epilogue and the
+/// reference MAC step evaluate — the engine's bit-identity spec.
 inline std::int32_t requant_apply(std::int64_t acc, const Requant& r,
                                   std::int32_t qmax) {
   const std::int64_t v = acc * static_cast<std::int64_t>(r.multiplier) + r.bias;

@@ -2,9 +2,13 @@
 //
 // The contract: a fused forward — activation codes flowing layer to
 // layer through requantizing igemm epilogues and integer pooling — is
-// bit-identical to `forward_reference`'s naive int64 loops applying the
-// same `requant_apply` spec, for every kernel variant, bit width, batch
-// size, serving rung, thread count and pooling mix.  Synthetic
+// bit-identical to `forward_reference`, which runs the same engine walk
+// with a naive int64 direct-convolution / row-dot MAC step in place of
+// `igemm_run`, applying the same `requant_apply` spec, for every kernel
+// variant, bit width, batch size, serving rung, thread count, conv
+// geometry (kernel 1/3/5, stride 1/2, pad 0/1/2) and pooling mix.  The
+// walk (code storage, pooling, float fallback) is shared, so its code
+// widths are checked against the decoded grid directly.  Synthetic
 // `from_plans` networks keep the sweep deterministic and let individual
 // plan fields (activation bits, unquantized producers, off-grid average
 // windows) be pinned exactly.
@@ -60,21 +64,24 @@ const ExecContext& ctx_for(std::size_t threads) {
   }
 }
 
-/// Random conv plan: `bits`-bit weight codes, optional `act_bits` grid.
+/// Random conv plan: `bits`-bit weight codes, optional `act_bits` grid,
+/// `kernel`×`kernel` window at `stride` with `pad` zeros on each side.
 /// Scales are small and positive so make_requant always fits the layer.
 IntLayerPlan conv_plan(Rng& rng, const std::string& name, std::size_t in_ch,
-                       std::size_t out_ch, int bits, int act_bits) {
+                       std::size_t out_ch, int bits, int act_bits,
+                       std::size_t kernel = 3, std::size_t stride = 1,
+                       std::size_t pad = 1) {
   IntLayerPlan plan;
   plan.kind = IntLayerPlan::Kind::kConv;
   plan.name = name;
   plan.in_channels = in_ch;
   plan.out_channels = out_ch;
-  plan.kernel = 3;
-  plan.stride = 1;
-  plan.pad = 1;
+  plan.kernel = kernel;
+  plan.stride = stride;
+  plan.pad = pad;
   plan.weight_bits = bits;
   const std::int32_t max_code = (1 << bits) - 1;  // doubled-code envelope
-  plan.weight_codes.resize(out_ch * in_ch * 9);
+  plan.weight_codes.resize(out_ch * in_ch * kernel * kernel);
   for (auto& c : plan.weight_codes) {
     c = static_cast<std::int32_t>(rng.uniform_int(2 * max_code + 1)) -
         max_code;
@@ -131,15 +138,20 @@ IntLayerPlan pool_plan(IntLayerPlan::Kind kind, const std::string& name,
   return plan;
 }
 
-/// conv → maxpool → conv → avgpool → gap → linear, everything fused
-/// until the unquantized classifier head.
+/// conv → maxpool → conv → 1×1 conv → 5×5 conv → stride-2 conv →
+/// avgpool → gap → linear, everything fused until the unquantized
+/// classifier head.  On an 8×8 input the convs see 8×8, 4×4, 4×4, 4×4
+/// and 4×4 → 2×2 maps.
 std::vector<IntLayerPlan> mixed_net(Rng& rng, int bits) {
   std::vector<IntLayerPlan> plans;
   plans.push_back(conv_plan(rng, "conv0", 3, 6, bits, bits));
   plans.push_back(pool_plan(IntLayerPlan::Kind::kMaxPool, "maxpool@1"));
   plans.push_back(conv_plan(rng, "conv1", 6, 8, bits, bits));
-  plans.push_back(pool_plan(IntLayerPlan::Kind::kAvgPool, "avgpool@3"));
-  plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@4"));
+  plans.push_back(conv_plan(rng, "conv1x1", 8, 8, bits, bits, 1, 1, 0));
+  plans.push_back(conv_plan(rng, "conv5x5", 8, 8, bits, bits, 5, 1, 2));
+  plans.push_back(conv_plan(rng, "conv_s2", 8, 8, bits, bits, 3, 2, 1));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kAvgPool, "avgpool@6"));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@7"));
   plans.push_back(linear_plan(rng, "fc", 8, 4, bits, 32));
   return plans;
 }
@@ -215,8 +227,11 @@ TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
       const IntegerNetwork net = IntegerNetwork::from_plans(plans);
       // The sweep must actually exercise the fused epilogue.
       ASSERT_TRUE(net.plan(0).requant_fused) << "conv0 must fuse";
-      ASSERT_TRUE(net.plan(2).requant_fused) << "conv1 must fuse";
-      ASSERT_FALSE(net.plan(5).requant_fused) << "fc head has no act grid";
+      for (std::size_t i : {2, 3, 4, 5}) {
+        ASSERT_TRUE(net.plan(i).requant_fused) << net.plan(i).name
+                                               << " must fuse";
+      }
+      ASSERT_FALSE(net.plan(8).requant_fused) << "fc head has no act grid";
       for (std::size_t threads : {1, 2, 4}) {
         expect_bit_identical(net, x, ctx_for(threads),
                              std::string("bits=") + std::to_string(bits) +
@@ -245,6 +260,25 @@ TEST(EngineDatapathTest, WideActivationGridsFlowAsInt16Codes) {
     expect_bit_identical(net, x, ctx_for(threads),
                          "i16 codes threads=" + std::to_string(threads));
   }
+
+  // forward_reference shares the walk's code store, so it cannot catch
+  // a wrong storage width.  A net that ends on the 12-bit conv decodes its codes
+  // directly: every output must be a whole code in [0, 4095] times the
+  // activation scale, and some code must exceed the u8 range.
+  plans.resize(2);
+  const IntegerNetwork conv_only = IntegerNetwork::from_plans(plans);
+  const float scale = 1.0f / 4095.0f;  // act_clip 1 on a 12-bit grid
+  const Tensor y = conv_only.forward(x);
+  ASSERT_EQ(y.shape(), (Shape{2, 6, 6, 6}));
+  bool above_u8 = false;
+  for (float v : y.data()) {
+    const float code = std::round(v / scale);
+    ASSERT_EQ(code * scale, v) << "output " << v << " is off the 12-bit grid";
+    ASSERT_GE(code, 0.0f);
+    ASSERT_LE(code, 4095.0f);
+    above_u8 = above_u8 || code > 255.0f;
+  }
+  EXPECT_TRUE(above_u8) << "no 12-bit code above 255: codes were narrowed";
 }
 
 TEST(EngineDatapathTest, UnquantizedProducerFallsBackAndRecovers) {

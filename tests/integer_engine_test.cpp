@@ -179,8 +179,8 @@ TEST(IntegerEngineTest, MacsPerSampleMatchesRegistry) {
 // ---- blocked igemm datapath vs the naive specification ---------------------
 
 /// The headline igemm property at the engine level: the blocked packed-
-/// panel forward must be BIT-identical to the naive int64 triple loop
-/// (`forward_reference`) — same codes, same accumulation results, same
+/// panel forward must be BIT-identical to the naive int64 MAC step of
+/// `forward_reference` — same codes, same accumulation results, same
 /// float epilogue — for every layer mix, bit floor and thread count.
 void expect_bitwise_forward(EngineSetup& s) {
   IntegerNetwork net = IntegerNetwork::compile(s.model);

@@ -292,6 +292,96 @@ TEST(ArtifactTest, RejectsForeignFiles) {
   fs::remove(path);
 }
 
+/// Little-endian writer for hand-built artifact bytes.
+struct RawBytes {
+  std::string bytes;
+  template <typename T>
+  RawBytes& pod(T v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    return *this;
+  }
+  RawBytes& varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) pod(static_cast<std::uint8_t>(v | 0x80));
+    return pod(static_cast<std::uint8_t>(v));
+  }
+};
+
+/// One maxpool layer record whose channel-scale section declares
+/// `scale_count` floats, whose code stream declares `code_count` codes
+/// at `code_bits` bits in zero bytes, and whose requant record (present
+/// when `requant_count` > 0) declares that many channels.  Only the
+/// declared counts are hostile; no section carries their data.
+std::string pool_record(std::uint64_t scale_count, std::uint64_t requant_count,
+                        std::uint64_t code_count = 0,
+                        std::uint8_t code_bits = 0) {
+  RawBytes r;
+  r.varint(1).pod('p');  // name
+  r.pod(static_cast<std::uint8_t>(hw::IntLayerPlan::Kind::kMaxPool));
+  r.pod(std::uint8_t{32}).pod(std::uint8_t{0}).pod(std::uint8_t{32});
+  r.pod(0.0f);  // act_clip
+  for (std::uint64_t dim : {0, 0, 1, 1, 0, 0, 0, 2, 2}) r.varint(dim);
+  r.varint(0).varint(1).pod(code_bits).varint(code_count).varint(0);
+  r.varint(scale_count).varint(0);  // scales, biases
+  r.pod(static_cast<std::uint8_t>(requant_count > 0 ? 1 : 0));
+  if (requant_count > 0) r.varint(requant_count);
+  return r.bytes;
+}
+
+/// Write a CCQA file whose header declares `declared_bytes` of payload
+/// (and carries the payload's true FNV-1a checksum).
+void write_hostile(const std::string& path, std::uint32_t version,
+                   std::uint32_t layer_count, const std::string& payload,
+                   std::uint64_t declared_bytes) {
+  RawBytes file;
+  file.bytes.assign(kArtifactMagic, sizeof(kArtifactMagic));
+  file.pod(version).pod(layer_count).pod(declared_bytes);
+  file.pod(fnv1a(payload.data(), payload.size()));
+  file.bytes += payload;
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(file.bytes.data(), static_cast<std::streamsize>(file.bytes.size()));
+}
+
+TEST(ArtifactTest, HostileDeclaredSizesFailTyped) {
+  // Every size an artifact declares is bounded by the bytes behind it
+  // before anything is allocated for it, so a hostile header or section
+  // count fails with a typed error naming the file — never bad_alloc or
+  // length_error.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  struct Case {
+    const char* what;
+    std::uint32_t version;
+    std::uint32_t layer_count;
+    std::string payload;
+    bool empty_payload;  // header only: declare kHuge bytes, ship none
+  };
+  RawBytes v3;
+  v3.varint(std::uint64_t{1} << 40);  // rung count
+  v3.bytes += pool_record(0, 0);
+  const std::vector<Case> cases = {
+      {"2^62-byte payload", kArtifactVersion, 1, "", true},
+      {"2^32-1 layers", kArtifactVersion, 0xFFFFFFFFu, pool_record(0, 0),
+       false},
+      {"2^62 floats", kArtifactVersion, 1, pool_record(kHuge, 0), false},
+      {"2^40 rungs", kArtifactVersionMulti, 1, v3.bytes, false},
+      {"2^40 requant channels", kArtifactVersion, 1,
+       pool_record(0, std::uint64_t{1} << 40), false},
+      {"2^61 8-bit codes in 0 bytes", kArtifactVersion, 1,
+       pool_record(0, 0, std::uint64_t{1} << 61, 8), false},
+  };
+  const std::string path = temp_path("ccq_serve_hostile.ccqa");
+  for (const Case& c : cases) {
+    write_hostile(path, c.version, c.layer_count, c.payload,
+                  c.empty_payload ? kHuge : c.payload.size());
+    for (const auto& load : std::vector<std::function<void()>>{
+             [&] { load_artifact(path); }, [&] { inspect_artifact(path); }}) {
+      const std::string message = error_message(load);
+      EXPECT_NE(message.find(path), std::string::npos)
+          << c.what << ": " << message;
+    }
+  }
+  fs::remove(path);
+}
+
 // ---- crash-safe writes -----------------------------------------------------
 
 TEST(AtomicWriteTest, FailedWriteKeepsPreviousFile) {
@@ -395,8 +485,8 @@ TEST(ServeTest, ServedOutputsMatchThePrePackedNaiveForward) {
   // 8/4/2 SimpleCNN, reload it (the load path selects a kernel per layer
   // and re-packs the weight panels in that kernel's layout), serve it —
   // and require every served logit to be bit-identical to
-  // `forward_reference`, the naive int64 triple loop that was the entire
-  // serving datapath before the blocked kernels.
+  // `forward_reference`, the engine walk with a naive int64 MAC step in
+  // place of the blocked kernels.
   auto model = make_mixed_model();
   hw::IntegerNetwork direct = hw::IntegerNetwork::compile(model);
   const Tensor x = make_inputs(24);

@@ -10,6 +10,7 @@ Four suites cover the integer-inference datapath and the serving stack:
   engine    BM_EngineForward -> BENCH_engine.json
             the end-to-end fused engine forward (u8 codes through igemm
             epilogues, integer pooling, final decode) vs forward_reference
+            (the same walk with a naive int64 direct-convolution MAC step)
             on the 16x16 width-0.25 SimpleCNN, at batch 1, 8 and 32
   serve     BM_Serve* (bench_serve binary) -> BENCH_serve.json
             the registry-routed inference server: closed-loop capacity
