@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <mutex>
+#include <vector>
 
 #include "ccq/common/error.hpp"
 
@@ -26,60 +28,58 @@ void set_metrics_enabled(bool on) {
 }
 
 // ---- names -----------------------------------------------------------------
+// Each built-in id is the same-numbered slot of its kind's named table:
+// the registry pre-registers these names when it is constructed, so
+// `add(Counter::kProbes)` and `add_named(find_named_metric(kCounter,
+// "ccq.probes"))` record into one series.
 
-const char* counter_name(Counter id) {
-  switch (id) {
-    case Counter::kProbes: return "ccq.probes";
-    case Counter::kPicks: return "ccq.picks";
-    case Counter::kRecoveryEpochs: return "ccq.recovery_epochs";
-    case Counter::kWorkspaceHits: return "workspace.acquire_hits";
-    case Counter::kWorkspaceMisses: return "workspace.acquire_misses";
-    case Counter::kTraceEvents: return "trace.events";
-    case Counter::kServeRequests: return "serve.requests";
-    case Counter::kServeRejected: return "serve.rejected";
-    case Counter::kServeBatches: return "serve.batches";
-    case Counter::kServeShed: return "serve.shed";
-    case Counter::kServeDeadlineMiss: return "serve.deadline_miss";
-    case Counter::kCount: break;
-  }
-  return "?";
+namespace {
+
+// In enum order; the static_asserts pin each table's length to its enum.
+constexpr const char* kCounterNames[] = {
+    "ccq.probes",     "ccq.picks",           "ccq.recovery_epochs",
+    "workspace.acquire_hits", "workspace.acquire_misses", "trace.events",
+    "serve.requests", "serve.rejected",      "serve.batches",
+    "serve.shed",     "serve.deadline_miss",
+};
+constexpr const char* kGaugeNames[] = {
+    "ccq.lambda", "ccq.val_accuracy", "ccq.compression",
+    "ccq.lr",     "serve.queue_depth",
+};
+constexpr const char* kTimerNames[] = {
+    "gemm",           "hw.igemm",          "hw.igemm.scalar",
+    "hw.igemm.vec16", "hw.igemm.vec_packed", "hw.requant",
+    "conv.forward",   "conv.backward",     "probe.eval",
+    "recovery.epoch", "workspace.acquire", "serve.latency",
+    "serve.batch_size",
+};
+static_assert(std::size(kCounterNames) ==
+              static_cast<std::size_t>(Counter::kCount));
+static_assert(std::size(kGaugeNames) ==
+              static_cast<std::size_t>(Gauge::kCount));
+static_assert(std::size(kTimerNames) ==
+              static_cast<std::size_t>(Timer::kCount));
+static_assert(std::size(kCounterNames) <= kMaxNamedMetrics &&
+              std::size(kGaugeNames) <= kMaxNamedMetrics &&
+              std::size(kTimerNames) <= kMaxNamedMetrics);
+
+template <std::size_t N, typename Id>
+const char* name_of(const char* const (&names)[N], Id id) {
+  const auto i = static_cast<std::size_t>(id);
+  return i < N ? names[i] : "?";
 }
 
-const char* gauge_name(Gauge id) {
-  switch (id) {
-    case Gauge::kLambda: return "ccq.lambda";
-    case Gauge::kValAccuracy: return "ccq.val_accuracy";
-    case Gauge::kCompression: return "ccq.compression";
-    case Gauge::kLr: return "ccq.lr";
-    case Gauge::kServeQueueDepth: return "serve.queue_depth";
-    case Gauge::kCount: break;
-  }
-  return "?";
-}
+}  // namespace
 
-const char* timer_name(Timer id) {
-  switch (id) {
-    case Timer::kGemm: return "gemm";
-    case Timer::kIgemm: return "hw.igemm";
-    case Timer::kIgemmScalar: return "hw.igemm.scalar";
-    case Timer::kIgemmVec16: return "hw.igemm.vec16";
-    case Timer::kIgemmVecPacked: return "hw.igemm.vec_packed";
-    case Timer::kHwRequant: return "hw.requant";
-    case Timer::kConvForward: return "conv.forward";
-    case Timer::kConvBackward: return "conv.backward";
-    case Timer::kProbeEval: return "probe.eval";
-    case Timer::kRecoveryEpoch: return "recovery.epoch";
-    case Timer::kWorkspaceAcquire: return "workspace.acquire";
-    case Timer::kServeLatency: return "serve.latency";
-    case Timer::kServeBatchSize: return "serve.batch_size";
-    case Timer::kCount: break;
-  }
-  return "?";
-}
+const char* counter_name(Counter id) { return name_of(kCounterNames, id); }
+const char* gauge_name(Gauge id) { return name_of(kGaugeNames, id); }
+const char* timer_name(Timer id) { return name_of(kTimerNames, id); }
 
 // ---- storage ---------------------------------------------------------------
-// Everything is statically sized and atomic: recording never allocates,
+// One fixed-capacity slot array per kind (stable addresses, no
+// reallocation), statically sized and atomic: recording never allocates,
 // never locks, and is race-free under ThreadPool workers (TSan tier).
+// Only registration takes the registry mutex.
 
 namespace {
 
@@ -91,13 +91,32 @@ struct TimerCell {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
 };
 
-std::array<std::atomic<std::uint64_t>,
-           static_cast<std::size_t>(Counter::kCount)>
-    g_counters{};
+std::array<std::atomic<std::uint64_t>, kMaxNamedMetrics> g_counters{};
 // Gauges hold doubles bit-cast through uint64 so plain atomics suffice.
-std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Gauge::kCount)>
-    g_gauges{};
-std::array<TimerCell, static_cast<std::size_t>(Timer::kCount)> g_timers{};
+std::array<std::atomic<std::uint64_t>, kMaxNamedMetrics> g_gauges{};
+std::array<TimerCell, kMaxNamedMetrics> g_timers{};
+
+struct NamedRegistry {
+  std::mutex mutex;
+  // One name table per kind; slot i of the matching storage array
+  // belongs to names[i].  size() doubles as the next free id.
+  std::array<std::vector<std::string>, 3> names{
+      std::vector<std::string>(std::begin(kCounterNames),
+                               std::end(kCounterNames)),
+      std::vector<std::string>(std::begin(kGaugeNames), std::end(kGaugeNames)),
+      std::vector<std::string>(std::begin(kTimerNames), std::end(kTimerNames)),
+  };
+};
+
+NamedRegistry& named_registry() {
+  static NamedRegistry registry;
+  return registry;
+}
+
+int index_of(const std::vector<std::string>& names, const std::string& name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
 
 int bucket_of(std::uint64_t ns) {
   const int b = static_cast<int>(std::bit_width(ns));
@@ -118,7 +137,74 @@ void atomic_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
   }
 }
 
-TimerStats stats_of(const TimerCell& cell) {
+void reset_cell(TimerCell& cell) {
+  cell.count.store(0, std::memory_order_relaxed);
+  cell.total_ns.store(0, std::memory_order_relaxed);
+  cell.min_ns.store(~std::uint64_t{0}, std::memory_order_relaxed);
+  cell.max_ns.store(0, std::memory_order_relaxed);
+  for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+int named_metric(NamedKind kind, const std::string& name) {
+  NamedRegistry& registry = named_registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  auto& names = registry.names[static_cast<std::size_t>(kind)];
+  if (const int id = index_of(names, name); id >= 0) return id;
+  // Capacity exhaustion degrades to "metrics disabled for this series"
+  // (-1 no-ops through every record path) rather than throwing: the
+  // serving stack registers per-model series at load time, and a
+  // telemetry capacity limit must not turn into a model-load failure.
+  if (names.size() >= kMaxNamedMetrics) return -1;
+  names.push_back(name);
+  return static_cast<int>(names.size() - 1);
+}
+
+int find_named_metric(NamedKind kind, const std::string& name) {
+  NamedRegistry& registry = named_registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return index_of(registry.names[static_cast<std::size_t>(kind)], name);
+}
+
+void add_named(int counter_id, std::uint64_t delta) {
+  if (!metrics_enabled() || counter_id < 0) return;
+  g_counters[static_cast<std::size_t>(counter_id)].fetch_add(
+      delta, std::memory_order_relaxed);
+}
+
+void set_named_gauge(int gauge_id, double value) {
+  if (!metrics_enabled() || gauge_id < 0) return;
+  g_gauges[static_cast<std::size_t>(gauge_id)].store(
+      std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
+}
+
+void record_named_duration(int timer_id, std::uint64_t ns) {
+  if (!metrics_enabled() || timer_id < 0) return;
+  TimerCell& cell = g_timers[static_cast<std::size_t>(timer_id)];
+  cell.count.fetch_add(1, std::memory_order_relaxed);
+  cell.total_ns.fetch_add(ns, std::memory_order_relaxed);
+  atomic_min(cell.min_ns, ns);
+  atomic_max(cell.max_ns, ns);
+  cell.buckets[static_cast<std::size_t>(bucket_of(ns))].fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+std::uint64_t named_counter_value(int counter_id) {
+  if (counter_id < 0) return 0;
+  return g_counters[static_cast<std::size_t>(counter_id)].load(
+      std::memory_order_relaxed);
+}
+
+double named_gauge_value(int gauge_id) {
+  if (gauge_id < 0) return 0.0;
+  return std::bit_cast<double>(g_gauges[static_cast<std::size_t>(gauge_id)]
+                                   .load(std::memory_order_relaxed));
+}
+
+TimerStats named_timer_stats(int timer_id) {
+  if (timer_id < 0) return TimerStats{};
+  const TimerCell& cell = g_timers[static_cast<std::size_t>(timer_id)];
   TimerStats stats;
   stats.count = cell.count.load(std::memory_order_relaxed);
   stats.total_ns = cell.total_ns.load(std::memory_order_relaxed);
@@ -133,37 +219,22 @@ TimerStats stats_of(const TimerCell& cell) {
   return stats;
 }
 
-void reset_cell(TimerCell& cell) {
-  cell.count.store(0, std::memory_order_relaxed);
-  cell.total_ns.store(0, std::memory_order_relaxed);
-  cell.min_ns.store(~std::uint64_t{0}, std::memory_order_relaxed);
-  cell.max_ns.store(0, std::memory_order_relaxed);
-  for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-}
-
-}  // namespace
-
+// Built-in ids are their named slots, so the typed API forwards.
 void add(Counter id, std::uint64_t delta) {
-  if (!metrics_enabled()) return;
-  g_counters[static_cast<std::size_t>(id)].fetch_add(
-      delta, std::memory_order_relaxed);
+  add_named(static_cast<int>(id), delta);
 }
-
 void set_gauge(Gauge id, double value) {
-  if (!metrics_enabled()) return;
-  g_gauges[static_cast<std::size_t>(id)].store(std::bit_cast<std::uint64_t>(value),
-                                               std::memory_order_relaxed);
+  set_named_gauge(static_cast<int>(id), value);
 }
-
 void record_duration(Timer id, std::uint64_t ns) {
-  if (!metrics_enabled()) return;
-  TimerCell& cell = g_timers[static_cast<std::size_t>(id)];
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(ns, std::memory_order_relaxed);
-  atomic_min(cell.min_ns, ns);
-  atomic_max(cell.max_ns, ns);
-  cell.buckets[static_cast<std::size_t>(bucket_of(ns))].fetch_add(
-      1, std::memory_order_relaxed);
+  record_named_duration(static_cast<int>(id), ns);
+}
+std::uint64_t counter_value(Counter id) {
+  return named_counter_value(static_cast<int>(id));
+}
+double gauge_value(Gauge id) { return named_gauge_value(static_cast<int>(id)); }
+TimerStats timer_stats(Timer id) {
+  return named_timer_stats(static_cast<int>(id));
 }
 
 std::uint64_t ScopedTimer::now_ns() {
@@ -171,111 +242,6 @@ std::uint64_t ScopedTimer::now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::uint64_t counter_value(Counter id) {
-  return g_counters[static_cast<std::size_t>(id)].load(
-      std::memory_order_relaxed);
-}
-
-double gauge_value(Gauge id) {
-  return std::bit_cast<double>(g_gauges[static_cast<std::size_t>(id)].load(
-      std::memory_order_relaxed));
-}
-
-TimerStats timer_stats(Timer id) {
-  return stats_of(g_timers[static_cast<std::size_t>(id)]);
-}
-
-// ---- named metrics ---------------------------------------------------------
-// Fixed-capacity slot arrays (stable addresses, no reallocation) so the
-// record path stays lock-free; only registration takes the mutex.
-
-namespace {
-
-struct NamedRegistry {
-  std::mutex mutex;
-  // One name table per kind; slot i of the matching storage array
-  // belongs to names[i].  size() doubles as the next free id.
-  std::array<std::vector<std::string>, 3> names;
-};
-
-NamedRegistry& named_registry() {
-  static NamedRegistry registry;
-  return registry;
-}
-
-std::array<std::atomic<std::uint64_t>, kMaxNamedMetrics> g_named_counters{};
-std::array<std::atomic<std::uint64_t>, kMaxNamedMetrics> g_named_gauges{};
-std::array<TimerCell, kMaxNamedMetrics> g_named_timers{};
-
-}  // namespace
-
-int named_metric(NamedKind kind, const std::string& name) {
-  NamedRegistry& registry = named_registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  auto& names = registry.names[static_cast<std::size_t>(kind)];
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
-  }
-  // Capacity exhaustion degrades to "metrics disabled for this series"
-  // (-1 no-ops through every record path) rather than throwing: the
-  // serving stack registers per-model series at load time, and a
-  // telemetry capacity limit must not turn into a model-load failure.
-  if (names.size() >= kMaxNamedMetrics) return -1;
-  names.push_back(name);
-  return static_cast<int>(names.size() - 1);
-}
-
-int find_named_metric(NamedKind kind, const std::string& name) {
-  NamedRegistry& registry = named_registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  const auto& names = registry.names[static_cast<std::size_t>(kind)];
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-void add_named(int counter_id, std::uint64_t delta) {
-  if (!metrics_enabled() || counter_id < 0) return;
-  g_named_counters[static_cast<std::size_t>(counter_id)].fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
-void set_named_gauge(int gauge_id, double value) {
-  if (!metrics_enabled() || gauge_id < 0) return;
-  g_named_gauges[static_cast<std::size_t>(gauge_id)].store(
-      std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
-}
-
-void record_named_duration(int timer_id, std::uint64_t ns) {
-  if (!metrics_enabled() || timer_id < 0) return;
-  TimerCell& cell = g_named_timers[static_cast<std::size_t>(timer_id)];
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(ns, std::memory_order_relaxed);
-  atomic_min(cell.min_ns, ns);
-  atomic_max(cell.max_ns, ns);
-  cell.buckets[static_cast<std::size_t>(bucket_of(ns))].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-std::uint64_t named_counter_value(int counter_id) {
-  if (counter_id < 0) return 0;
-  return g_named_counters[static_cast<std::size_t>(counter_id)].load(
-      std::memory_order_relaxed);
-}
-
-double named_gauge_value(int gauge_id) {
-  if (gauge_id < 0) return 0.0;
-  return std::bit_cast<double>(
-      g_named_gauges[static_cast<std::size_t>(gauge_id)].load(
-          std::memory_order_relaxed));
-}
-
-TimerStats named_timer_stats(int timer_id) {
-  if (timer_id < 0) return TimerStats{};
-  return stats_of(g_named_timers[static_cast<std::size_t>(timer_id)]);
 }
 
 std::uint64_t approx_quantile(const TimerStats& stats, double q) {
@@ -294,14 +260,11 @@ std::uint64_t approx_quantile(const TimerStats& stats, double q) {
 }
 
 void reset_metrics() {
+  // Slots are zeroed but stay registered: ids handed out earlier remain
+  // valid across test-style resets.
   for (auto& c : g_counters) c.store(0, std::memory_order_relaxed);
   for (auto& g : g_gauges) g.store(0, std::memory_order_relaxed);
   for (auto& cell : g_timers) reset_cell(cell);
-  // Named slots are zeroed but stay registered: ids handed out earlier
-  // remain valid across test-style resets.
-  for (auto& c : g_named_counters) c.store(0, std::memory_order_relaxed);
-  for (auto& g : g_named_gauges) g.store(0, std::memory_order_relaxed);
-  for (auto& cell : g_named_timers) reset_cell(cell);
 }
 
 namespace {
@@ -331,52 +294,34 @@ Json timer_json(const TimerStats& stats) {
   return t;
 }
 
-// Snapshot one kind's registered names (ids are the indices).
-std::vector<std::string> named_names(NamedKind kind) {
-  NamedRegistry& registry = named_registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.names[static_cast<std::size_t>(kind)];
+/// One kind's registered series as {name: value(id)}; ids are the
+/// indices of a snapshot of its name table.
+template <typename Value>
+Json kind_json(NamedKind kind, Value value) {
+  std::vector<std::string> names;
+  {
+    NamedRegistry& registry = named_registry();
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    names = registry.names[static_cast<std::size_t>(kind)];
+  }
+  Json out = Json::object();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out.set(names[i], value(static_cast<int>(i)));
+  }
+  return out;
 }
 
 }  // namespace
 
 Json metrics_to_json() {
   Json root = Json::object();
-  Json counters = Json::object();
-  for (int i = 0; i < static_cast<int>(Counter::kCount); ++i) {
-    const auto id = static_cast<Counter>(i);
-    counters.set(counter_name(id),
-                 static_cast<double>(counter_value(id)));
-  }
-  const auto counter_names = named_names(NamedKind::kCounter);
-  for (std::size_t i = 0; i < counter_names.size(); ++i) {
-    counters.set(counter_names[i], static_cast<double>(named_counter_value(
-                                       static_cast<int>(i))));
-  }
-  root.set("counters", std::move(counters));
-
-  Json gauges = Json::object();
-  for (int i = 0; i < static_cast<int>(Gauge::kCount); ++i) {
-    const auto id = static_cast<Gauge>(i);
-    gauges.set(gauge_name(id), gauge_value(id));
-  }
-  const auto gauge_names = named_names(NamedKind::kGauge);
-  for (std::size_t i = 0; i < gauge_names.size(); ++i) {
-    gauges.set(gauge_names[i], named_gauge_value(static_cast<int>(i)));
-  }
-  root.set("gauges", std::move(gauges));
-
-  Json timers = Json::object();
-  for (int i = 0; i < static_cast<int>(Timer::kCount); ++i) {
-    const auto id = static_cast<Timer>(i);
-    timers.set(timer_name(id), timer_json(timer_stats(id)));
-  }
-  const auto timer_names = named_names(NamedKind::kTimer);
-  for (std::size_t i = 0; i < timer_names.size(); ++i) {
-    timers.set(timer_names[i],
-               timer_json(named_timer_stats(static_cast<int>(i))));
-  }
-  root.set("timers", std::move(timers));
+  root.set("counters", kind_json(NamedKind::kCounter, [](int id) {
+             return static_cast<double>(named_counter_value(id));
+           }));
+  root.set("gauges", kind_json(NamedKind::kGauge, named_gauge_value));
+  root.set("timers", kind_json(NamedKind::kTimer, [](int id) {
+             return timer_json(named_timer_stats(id));
+           }));
   return root;
 }
 

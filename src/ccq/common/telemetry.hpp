@@ -4,12 +4,15 @@
 // mixed-precision frameworks (HAQ, ReLeQ) live or die by per-step signal
 // traces.  This module exposes the equivalent as first-class data:
 //
-//   * Metrics — enum-indexed counters, gauges and log₂-bucketed duration
-//     histograms with fixed pre-sized storage (no hashing, no heap
-//     allocation on the record path, relaxed atomics so recording from
-//     `ThreadPool` workers is race-free).  Enabled via `CCQ_METRICS=1`
-//     or `set_metrics_enabled(true)`; when disabled every record call is
-//     a single relaxed load + branch, so instrumented hot paths (GEMM,
+//   * Metrics — one registry of named counters, gauges and log₂-bucketed
+//     duration histograms, one fixed-capacity slot array per kind (no
+//     hashing, no heap allocation on the record path, relaxed atomics so
+//     recording from `ThreadPool` workers is race-free).  The built-in
+//     `Counter` / `Gauge` / `Timer` ids are the first slots of their
+//     kind, pre-registered under their names; subsystems register more
+//     at run time.  Enabled via `CCQ_METRICS=1` or
+//     `set_metrics_enabled(true)`; when disabled every record call is a
+//     single relaxed load + branch, so instrumented hot paths (GEMM,
 //     conv, probe eval, workspace acquire) stay within noise.
 //   * Scoped timers — RAII wall-clock spans feeding the histograms.
 //   * Trace — a JSONL sink (`ccq::Json`, one compact object per line)
@@ -44,6 +47,8 @@ inline bool metrics_enabled() {
 void set_metrics_enabled(bool on);
 
 // ---- metric ids ------------------------------------------------------------
+// Built-in series: each id is the same-numbered slot of its kind's named
+// table (see named metrics below), registered under `*_name(id)`.
 
 enum class Counter : int {
   kProbes,            ///< competition probe evaluations
@@ -121,8 +126,9 @@ class ScopedTimer {
 
 // ---- readout ---------------------------------------------------------------
 
-/// Log₂ duration buckets: bucket b counts samples with 2^(b−1) < ns ≤ 2^b
-/// (bucket 0 counts 0–1 ns, the last bucket is open-ended).
+/// Log₂ duration buckets: bucket b counts samples with
+/// 2^(b−1) ≤ ns < 2^b (bucket 0 holds only 0 ns, bucket 1 only 1 ns; the
+/// last bucket is open-ended).
 inline constexpr int kHistogramBuckets = 48;
 
 struct TimerStats {
@@ -137,16 +143,17 @@ std::uint64_t counter_value(Counter id);
 double gauge_value(Gauge id);
 TimerStats timer_stats(Timer id);
 
-// ---- named (dynamic) metrics -----------------------------------------------
-// The enum registry covers process-wide series whose names are known at
-// compile time.  Subsystems that host a runtime-determined *set* of
-// instances — the serving stack's per-model `serve.<model>.*` series —
-// register named metrics instead: registration (cold path, model load)
-// interns the name under a mutex and hands back a stable id; recording
-// through the id is the same lock-free fixed-storage scheme as the enum
-// metrics, so per-model accounting adds nothing to the hot path beyond
-// one extra atomic op per event.  Capacity is fixed
-// (`kMaxNamedMetrics` per kind); once exhausted, registration returns
+// ---- named metrics ---------------------------------------------------------
+// The one registry.  Its first slots per kind are the built-in ids above,
+// pre-registered when the registry is constructed.  Subsystems that host
+// a runtime-determined *set* of instances — the serving stack's
+// per-model `serve.<model>.*` series — register further names:
+// registration (cold path, model load) interns the name under a mutex
+// and hands back a stable id; recording through the id is the same
+// lock-free fixed-storage path the built-in ids forward to, so per-model
+// accounting adds nothing to the hot path beyond one extra atomic op per
+// event.  Capacity is fixed (`kMaxNamedMetrics` per kind, built-ins
+// included); once exhausted, registration returns
 // -1 — the id every record/query path treats as "metrics disabled" —
 // so a telemetry capacity limit never turns into a load failure in the
 // subsystem registering the series.  Re-registering a name returns the
@@ -169,7 +176,8 @@ std::uint64_t named_counter_value(int counter_id);
 double named_gauge_value(int gauge_id);
 TimerStats named_timer_stats(int timer_id);
 
-/// Look up a registered name; returns -1 when absent (no registration).
+/// Look up a registered name (built-in names resolve to their enum ids);
+/// returns -1 when absent (no registration).
 int find_named_metric(NamedKind kind, const std::string& name);
 
 /// Approximate quantile from a log₂-bucket histogram: the upper bound of

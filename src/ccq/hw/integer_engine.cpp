@@ -143,7 +143,6 @@ std::vector<std::int32_t> encode_doubled(const Tensor& q, float step,
 }
 
 IntegerNetwork IntegerNetwork::compile(models::QuantModel& model) {
-  IntegerNetwork net;
   std::vector<IntLayerPlan> plans;
   nn::Sequential& seq = model.net();
   float input_scale = kInputScale;  // scale of the incoming activations
@@ -275,19 +274,13 @@ IntegerNetwork IntegerNetwork::compile(models::QuantModel& model) {
     }
   }
   CCQ_CHECK(!plans.empty(), "empty model");
-  net.rungs_.push_back(std::move(plans));
-  net.rung_info_.push_back(RungInfo{});
-  net.finalize_plans();
-  return net;
+  return from_plans(std::move(plans));
 }
 
 IntegerNetwork IntegerNetwork::from_plans(std::vector<IntLayerPlan> plans) {
-  CCQ_CHECK(!plans.empty(), "cannot build an integer network from 0 plans");
-  IntegerNetwork net;
-  net.rungs_.push_back(std::move(plans));
-  net.rung_info_.push_back(RungInfo{});
-  net.finalize_plans();
-  return net;
+  std::vector<std::vector<IntLayerPlan>> rungs(1);
+  rungs.front() = std::move(plans);
+  return from_rungs(std::move(rungs), {RungInfo{}});
 }
 
 IntegerNetwork IntegerNetwork::from_rungs(

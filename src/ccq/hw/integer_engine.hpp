@@ -107,7 +107,7 @@ struct IntLayerPlan {
   /// epilogue, so the kernel writes the next layer's codes directly.
   /// Built by finalize (hw::make_requant against the layer's static
   /// accumulator bound) when the layer has a quantized activation and
-  /// integer codes arriving; serialized in CCQA v2 artifacts so serving
+  /// integer codes arriving; serialized in CCQA artifacts so serving
   /// replays the exporter's exact parameters.  Empty ⇒ unfused: the
   /// layer keeps the float epilogue (+ apply_act) instead.
   std::vector<Requant> requant;
@@ -152,9 +152,10 @@ class IntegerNetwork {
   /// baked in.
   static IntegerNetwork compile(models::QuantModel& model);
 
-  /// Rebuild a network from deserialised layer plans (ccq::serve packed
-  /// artifacts).  Plans are taken as-is; shape consistency is the
-  /// loader's responsibility.  Throws on an empty plan list.
+  /// Build a single-point network from layer plans: `from_rungs` with
+  /// one rung and default provenance.  Plans are taken as-is; shape
+  /// consistency is the caller's responsibility.  Throws on an empty
+  /// plan list.
   static IntegerNetwork from_plans(std::vector<IntLayerPlan> plans);
 
   /// Build a multi-point network: one plan set per serving rung, all
@@ -232,11 +233,11 @@ class IntegerNetwork {
  private:
   /// Build each plan's derived igemm payload (kernel selection, packed
   /// panel, max |code|, static accumulator choice) — runs once in
-  /// compile()/from_plans()/from_rungs(), per rung, so artifact loads
-  /// ship ready-packed panels in the layout of the kernel that will
-  /// execute them.  Reads `$CCQ_IGEMM_KERNEL` once for the whole
-  /// network; throws its unknown-name error (listing available kernels)
-  /// before any layer is packed.
+  /// from_rungs() (which compile() and from_plans() build through), per
+  /// rung, so artifact loads ship ready-packed panels in the layout of
+  /// the kernel that will execute them.  Reads `$CCQ_IGEMM_KERNEL` once
+  /// for the whole network; throws its unknown-name error (listing
+  /// available kernels) before any layer is packed.
   void finalize_plans();
 
   /// Plan sets, one per serving rung; invariant: non-empty, all rungs

@@ -1,9 +1,9 @@
 // Load-driven operating-point selection for multi-point models.
 //
-// A CCQA v3 artifact ships several serving rungs of one model: the same
-// layer sequence compiled at the precision configurations the CCQ
-// controller actually visited, rung 0 the most accurate and the last
-// rung the cheapest (serve/artifact.hpp).  This module decides *which*
+// A multi-point CCQA artifact ships several serving rungs of one model:
+// the same layer sequence compiled at the precision configurations the
+// CCQ controller actually visited, rung 0 the most accurate and the
+// last rung the cheapest (serve/artifact.hpp).  This module decides *which*
 // rung a model serves from, batch by batch, as a function of load:
 //
 //   * degrade — when the model's queue depth reaches
@@ -22,7 +22,7 @@
 //     `IntegerNetwork::forward_reference` at the rung that served it.
 //
 // Single-rung models never switch (the controller is inert), so loading
-// a v2 artifact through this stack changes nothing.  Callers can bypass
+// a single-point artifact through this stack changes nothing.  Callers can bypass
 // the controller per request (`SubmitOptions::rung`) or pin the whole
 // model with `fixed_rung`.
 //

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -131,13 +130,14 @@ class ByteReader {
     return v;
   }
   bool exhausted() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return data_.size() - pos_; }
 
   /// Check a declared count of entries that each take at least
   /// `min_bytes` to encode against the unread payload, so no declared
   /// size reaches a reserve, resize or constructor unbounded.
   std::size_t bounded(std::uint64_t n, std::size_t min_bytes,
                       const std::string& what) const {
-    const std::size_t left = data_.size() - pos_;
+    const std::size_t left = remaining();
     if (n > left / min_bytes) {
       fail("payload truncated: declares " + std::to_string(n) + " " + what +
            " (at least " + std::to_string(min_bytes) + " bytes each), " +
@@ -197,14 +197,18 @@ std::vector<std::int32_t> read_packed_codes(ByteReader& r) {
   packed.bits = r.pod<std::uint8_t>();
   packed.count = r.varint();
   const auto byte_count = r.varint();
-  // Checked: a wrapped count·bits could match a short stream and let
-  // unpack_codes size its output by the unchecked count.  A zero-bit
-  // stream costs no bytes per code, so its count stays unbounded here.
-  if (packed.bits != 0 &&
-      packed.count > (std::numeric_limits<std::uint64_t>::max() - 7) /
-                         packed.bits) {
-    r.fail(std::to_string(packed.count) + " codes at " +
-           std::to_string(int(packed.bits)) + " bits overflow the stream size");
+  // Every code costs at least one bit (pack_codes writes 1–32), so the
+  // declared count is bounded by the unread bytes before count·bits is
+  // formed or unpack_codes sizes its output by it.
+  if (packed.bits == 0 ? packed.count != 0 : packed.bits > 32) {
+    r.fail("packed code stream declares " + std::to_string(packed.count) +
+           " codes at " + std::to_string(int(packed.bits)) +
+           " bits (this build writes 1 to 32 bits per code)");
+  }
+  if (packed.count / 8 > r.remaining()) {
+    r.fail("payload truncated: declares " + std::to_string(packed.count) +
+           " codes (at least 1 bit each), " + std::to_string(r.remaining()) +
+           " bytes remain");
   }
   const std::uint64_t expect_bytes = (packed.count * packed.bits + 7) / 8;
   if (byte_count != expect_bytes) {
@@ -295,7 +299,7 @@ hw::IntLayerPlan read_plan(ByteReader& r) {
   return plan;
 }
 
-// ---- v3 delta sections -----------------------------------------------------
+// ---- delta sections --------------------------------------------------------
 // A delta record rewrites the precision-dependent halves of one layer
 // plan relative to the next-lower rung: the codes section (weight bits +
 // packed codes) and/or the metadata section (activation grid, channel
@@ -436,8 +440,10 @@ PackedCodes pack_codes(const std::vector<std::int32_t>& codes) {
       (static_cast<std::uint64_t>(static_cast<std::int64_t>(*max_it) -
                                   packed.min_code)) /
       packed.divisor;
-  packed.bits = static_cast<std::uint8_t>(std::bit_width(range));
-  if (packed.bits == 0) return packed;  // all codes equal: nothing to store
+  // A constant vector still costs one bit per code, so a stream's
+  // declared count is always bounded by the bytes that back it.
+  packed.bits = static_cast<std::uint8_t>(
+      std::max<std::uint64_t>(1, std::bit_width(range)));
   packed.bytes.assign((codes.size() * packed.bits + 7) / 8, 0);
   std::size_t bit_pos = 0;
   for (std::int32_t c : codes) {
@@ -478,18 +484,8 @@ std::vector<std::int32_t> unpack_codes(const PackedCodes& packed) {
 
 namespace {
 
-/// v2 payload: full layer records of one rung.
-std::string encode_single_payload(const hw::IntegerNetwork& net,
-                                  std::size_t rung) {
-  ByteWriter payload;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    write_plan(payload, net.plan(rung, i));
-  }
-  return payload.bytes();
-}
-
-/// v3 payload: rung table, base records, chained deltas (see artifact.hpp).
-std::string encode_multi_payload(const hw::IntegerNetwork& net) {
+/// Payload: rung table, base records, chained deltas (see artifact.hpp).
+std::string encode_payload(const hw::IntegerNetwork& net) {
   const std::size_t rungs = net.rung_count();
   const std::size_t base = rungs - 1;
   ByteWriter payload;
@@ -533,13 +529,13 @@ constexpr std::size_t kHeaderBytes = 28;
 /// two 1-byte float counts and the requant flag.
 constexpr std::size_t kMinPlanBytes = 26;
 
-void write_artifact_file(const std::string& path, std::uint32_t version,
-                         std::size_t layer_count, const std::string& body) {
+void write_artifact_file(const std::string& path, std::size_t layer_count,
+                         const std::string& body) {
   const std::uint64_t checksum = fnv1a(body.data(), body.size());
   atomic_write_file(path, [&](std::ostream& os) {
     ByteWriter header;
     header.raw(kArtifactMagic, sizeof(kArtifactMagic));
-    header.pod(version);
+    header.pod(kArtifactVersion);
     header.pod(static_cast<std::uint32_t>(layer_count));
     header.pod(static_cast<std::uint64_t>(body.size()));
     header.pod(checksum);
@@ -552,7 +548,6 @@ void write_artifact_file(const std::string& path, std::uint32_t version,
 /// Everything a CCQA file holds, decoded and validated but not yet
 /// compiled into kernels — shared by load_artifact and inspect_artifact.
 struct ParsedArtifact {
-  std::uint32_t version = 0;
   std::uint64_t file_bytes = 0;
   std::uint64_t payload_bytes = 0;
   std::vector<std::vector<hw::IntLayerPlan>> rungs;  ///< rung 0 = top
@@ -588,12 +583,11 @@ ParsedArtifact parse_artifact(const std::string& path) {
   // reader meeting a new file (and vice versa) always reaches this
   // diagnostic rather than a parse error deep inside a payload it was
   // never built to understand.
-  if (version != kArtifactVersion && version != kArtifactVersionMulti) {
+  if (version != kArtifactVersion) {
     throw Error(
         "artifact " + path + ": unsupported version " +
         std::to_string(version) + " (this build reads version " +
-        std::to_string(kArtifactVersion) + " and version " +
-        std::to_string(kArtifactVersionMulti) +
+        std::to_string(kArtifactVersion) +
         "); regenerate it with this build: ccq export --snapshot "
         "<snapshot.bin> --out " + path);
   }
@@ -631,72 +625,56 @@ ParsedArtifact parse_artifact(const std::string& path) {
   }
 
   ParsedArtifact parsed;
-  parsed.version = version;
   parsed.payload_bytes = payload_bytes;
   parsed.file_bytes = payload_bytes + kHeaderBytes;
   ByteReader reader(std::move(body), path);
 
-  if (version == kArtifactVersion) {
-    std::vector<hw::IntLayerPlan> plans;
-    plans.reserve(reader.bounded(layer_count, kMinPlanBytes, "layers"));
-    for (std::uint32_t i = 0; i < layer_count; ++i) {
-      plans.push_back(read_plan(reader));
-      validate_plan(reader, plans.back(), i);
-    }
-    parsed.rungs.push_back(std::move(plans));
-    parsed.info.push_back(hw::RungInfo{});
-  } else {
-    // trail step (≥ 1) + accuracy (4) bytes per rung.
-    const std::size_t rung_count = reader.bounded(reader.varint(), 5, "rungs");
-    if (rung_count < 2) {
-      reader.fail("multi-point artifact declares " +
-                  std::to_string(rung_count) +
-                  " rungs (a v3 file carries at least 2)");
-    }
-    parsed.info.resize(rung_count);
-    for (auto& info : parsed.info) {
-      info.trail_step = static_cast<std::int32_t>(reader.zigzag());
-      info.val_acc = reader.pod<float>();
-    }
-    parsed.rungs.resize(rung_count);
-    auto& base = parsed.rungs.back();
-    base.reserve(reader.bounded(layer_count, kMinPlanBytes, "layers"));
-    for (std::uint32_t i = 0; i < layer_count; ++i) {
-      base.push_back(read_plan(reader));
-      validate_plan(reader, base.back(), i);
-    }
-    for (std::size_t r = rung_count - 1; r-- > 0;) {
-      parsed.rungs[r] = parsed.rungs[r + 1];
-      const auto delta_count = static_cast<std::size_t>(reader.varint());
-      std::size_t prev_index = 0;
-      bool first = true;
-      for (std::size_t d = 0; d < delta_count; ++d) {
-        reader.set_context("");
-        const auto index = static_cast<std::size_t>(reader.varint());
-        if (index >= layer_count) {
-          reader.fail("rung " + std::to_string(r) + " delta names layer " +
-                      std::to_string(index) + " of " +
-                      std::to_string(layer_count));
-        }
-        if (!first && index <= prev_index) {
-          reader.fail("rung " + std::to_string(r) +
-                      " deltas are not in ascending layer order");
-        }
-        first = false;
-        prev_index = index;
-        hw::IntLayerPlan& plan = parsed.rungs[r][index];
-        reader.set_context(plan.name);
-        const auto flags = reader.pod<std::uint8_t>();
-        if (flags == 0 || (flags & ~(kDeltaCodes | kDeltaMeta)) != 0) {
-          reader.fail("rung " + std::to_string(r) + " delta carries flags " +
-                      std::to_string(flags));
-        }
-        if (flags & kDeltaCodes) read_delta_codes(reader, plan);
-        if (flags & kDeltaMeta) read_delta_meta(reader, plan);
+  // trail step (≥ 1) + accuracy (4) bytes per rung.
+  const std::size_t rung_count = reader.bounded(reader.varint(), 5, "rungs");
+  if (rung_count == 0) reader.fail("artifact declares 0 rungs");
+  parsed.info.resize(rung_count);
+  for (auto& info : parsed.info) {
+    info.trail_step = static_cast<std::int32_t>(reader.zigzag());
+    info.val_acc = reader.pod<float>();
+  }
+  parsed.rungs.resize(rung_count);
+  auto& base = parsed.rungs.back();
+  base.reserve(reader.bounded(layer_count, kMinPlanBytes, "layers"));
+  for (std::uint32_t i = 0; i < layer_count; ++i) {
+    base.push_back(read_plan(reader));
+    validate_plan(reader, base.back(), i);
+  }
+  for (std::size_t r = rung_count - 1; r-- > 0;) {
+    parsed.rungs[r] = parsed.rungs[r + 1];
+    const auto delta_count = static_cast<std::size_t>(reader.varint());
+    std::size_t prev_index = 0;
+    bool first = true;
+    for (std::size_t d = 0; d < delta_count; ++d) {
+      reader.set_context("");
+      const auto index = static_cast<std::size_t>(reader.varint());
+      if (index >= layer_count) {
+        reader.fail("rung " + std::to_string(r) + " delta names layer " +
+                    std::to_string(index) + " of " +
+                    std::to_string(layer_count));
       }
-      for (std::size_t i = 0; i < parsed.rungs[r].size(); ++i) {
-        validate_plan(reader, parsed.rungs[r][i], i);
+      if (!first && index <= prev_index) {
+        reader.fail("rung " + std::to_string(r) +
+                    " deltas are not in ascending layer order");
       }
+      first = false;
+      prev_index = index;
+      hw::IntLayerPlan& plan = parsed.rungs[r][index];
+      reader.set_context(plan.name);
+      const auto flags = reader.pod<std::uint8_t>();
+      if (flags == 0 || (flags & ~(kDeltaCodes | kDeltaMeta)) != 0) {
+        reader.fail("rung " + std::to_string(r) + " delta carries flags " +
+                    std::to_string(flags));
+      }
+      if (flags & kDeltaCodes) read_delta_codes(reader, plan);
+      if (flags & kDeltaMeta) read_delta_meta(reader, plan);
+    }
+    for (std::size_t i = 0; i < parsed.rungs[r].size(); ++i) {
+      validate_plan(reader, parsed.rungs[r][i], i);
     }
   }
   reader.set_context("");
@@ -710,13 +688,7 @@ ParsedArtifact parse_artifact(const std::string& path) {
 }  // namespace
 
 void export_artifact(const hw::IntegerNetwork& net, const std::string& path) {
-  if (net.rung_count() == 1) {
-    write_artifact_file(path, kArtifactVersion, net.layer_count(),
-                        encode_single_payload(net, 0));
-  } else {
-    write_artifact_file(path, kArtifactVersionMulti, net.layer_count(),
-                        encode_multi_payload(net));
-  }
+  write_artifact_file(path, net.layer_count(), encode_payload(net));
 }
 
 void export_artifact(models::QuantModel& model, const std::string& path) {
@@ -725,16 +697,13 @@ void export_artifact(models::QuantModel& model, const std::string& path) {
 
 hw::IntegerNetwork load_artifact(const std::string& path) {
   ParsedArtifact parsed = parse_artifact(path);
-  // from_plans / from_rungs re-finalize: every layer of every rung
+  // from_rungs re-finalizes: every layer of every rung
   // selects its igemm kernel (honouring $CCQ_IGEMM_KERNEL) and re-packs
   // its weight panel in that kernel's layout, so a loaded artifact
   // serves with the same per-layer kernel choices a freshly compiled
   // network would get on this host.  Re-throw with the artifact path so
   // a bad kernel override at load time names what was being loaded.
   try {
-    if (parsed.version == kArtifactVersion) {
-      return hw::IntegerNetwork::from_plans(std::move(parsed.rungs.front()));
-    }
     return hw::IntegerNetwork::from_rungs(std::move(parsed.rungs),
                                           std::move(parsed.info));
   } catch (const Error& e) {
@@ -745,7 +714,7 @@ hw::IntegerNetwork load_artifact(const std::string& path) {
 ArtifactInfo inspect_artifact(const std::string& path) {
   ParsedArtifact parsed = parse_artifact(path);
   ArtifactInfo info;
-  info.version = parsed.version;
+  info.version = kArtifactVersion;
   info.rung_count = parsed.rungs.size();
   info.layer_count = parsed.rungs.front().size();
   info.file_bytes = parsed.file_bytes;
@@ -865,11 +834,11 @@ hw::IntegerNetwork build_multipoint(models::QuantModel& model,
   }
 
   LadderPositionGuard restore(registry);
-  const std::string single_payload =
-      encode_single_payload(hw::IntegerNetwork::compile(model), 0);
   const auto budget =
-      static_cast<double>(single_payload.size() + kHeaderBytes) *
-                      options.size_budget;
+      static_cast<double>(
+          encode_payload(hw::IntegerNetwork::compile(model)).size() +
+          kHeaderBytes) *
+      options.size_budget;
 
   // Candidate selection: `rungs` trail points evenly spaced over a span
   // ending at the final configuration.  When the encoding busts the
@@ -911,8 +880,8 @@ hw::IntegerNetwork build_multipoint(models::QuantModel& model,
     }
     hw::IntegerNetwork net =
         hw::IntegerNetwork::from_rungs(std::move(rungs), std::move(info));
-    const std::string multi_payload = encode_multi_payload(net);
-    if (static_cast<double>(multi_payload.size() + kHeaderBytes) <= budget) {
+    if (static_cast<double>(encode_payload(net).size() + kHeaderBytes) <=
+        budget) {
       return net;
     }
     CCQ_CHECK(span > 1,

@@ -15,33 +15,32 @@
 // requant record fits inside the same 4× compression budget as v1):
 //   header  : magic "CCQA", u32 version, u32 layer_count,
 //             u64 payload_bytes, u64 fnv1a(payload)
-//   payload : one record per layer — name, kind, geometry, activation
-//             grid, packed weight codes (min_code + divisor + bit width,
-//             values LSB-first), per-channel scale + bias arrays, and
-//             (version 2) the fused requantization record: a fused flag,
-//             then per channel {i32 multiplier, u8 shift, zigzag bias}.
-//             Serializing the requant parameters — instead of recomputing
-//             them at load time — guarantees a served artifact replays
-//             the exporter's exact integer datapath; `out_qmax` and
-//             `acc_bound` are exact integer functions of the serialized
-//             fields and are rederived by `finalize_plans` at load.
-//
-// Version 3 — multi-point artifacts — keeps the same 28-byte header (so
-// any reader negotiates the version before touching the payload) and
-// replaces the payload with:
-//   varint rung_count R, then per rung {zigzag trail_step, f32 val_acc};
-//   the *base* rung (index R−1, the lowest-precision final configuration)
-//   as R full v2-format layer records; then, for each higher rung
-//   r = R−2 … 0, a chained delta against rung r+1: varint delta_count,
-//   then per delta {varint layer_index, u8 flags} with flag bit 0
-//   carrying a codes section (u8 weight_bits + packed codes) and bit 1 a
-//   metadata section (activation grid, channel scales, folded biases,
-//   requant record).  Layer identity and geometry are stored once, in
-//   the base records.  Weight codes are shared across rungs by
-//   construction — a layer's codes are re-encoded only at the rung where
-//   its precision actually changes — which is what keeps a ≥3-rung
-//   artifact within `MultiPointOptions::size_budget` of the single-point
-//   export (`build_multipoint` measures and enforces it).
+//   payload : varint rung_count R ≥ 1, then per rung
+//             {zigzag trail_step, f32 val_acc};
+//             the *base* rung (index R−1, the lowest-precision final
+//             configuration) as one full record per layer — name, kind,
+//             geometry, activation grid, packed weight codes (min_code +
+//             divisor + bit width, values LSB-first), per-channel scale +
+//             bias arrays, and the fused requantization record (a fused
+//             flag, then per channel {i32 multiplier, u8 shift, zigzag
+//             bias});
+//             then, for each higher rung r = R−2 … 0, a chained delta
+//             against rung r+1: varint delta_count, then per delta
+//             {varint layer_index, u8 flags} with flag bit 0 carrying a
+//             codes section (u8 weight_bits + packed codes) and bit 1 a
+//             metadata section (activation grid, channel scales, folded
+//             biases, requant record).
+// A single-point network is a one-rung file: its rung table, its layer
+// records, and no deltas.  Layer identity and geometry are stored once,
+// in the base records, and weight codes are re-encoded only at the rung
+// where a layer's precision actually changes — which is what keeps a
+// ≥3-rung artifact within `MultiPointOptions::size_budget` of the
+// single-point export (`build_multipoint` measures and enforces it).
+// Serializing the requant parameters — instead of recomputing them at
+// load time — guarantees a served artifact replays the exporter's exact
+// integer datapath; `out_qmax` and `acc_bound` are exact integer
+// functions of the serialized fields and are rederived by
+// `finalize_plans` at load.
 //
 // Writes are crash-safe (temp file + atomic rename, common/fileio) and
 // loads verify the checksum before parsing, so an interrupted export can
@@ -49,7 +48,7 @@
 //
 // Only the portable plan fields are serialized.  The igemm payload (the
 // packed int16 weight panels and static accumulator choice) is derived:
-// `load_artifact` routes through `IntegerNetwork::from_plans`, which
+// `load_artifact` routes through `IntegerNetwork::from_rungs`, which
 // re-packs panels at load time — loaded networks serve through the same
 // blocked kernels as freshly compiled ones, and the on-disk format stays
 // independent of kernel panel layout.
@@ -66,15 +65,11 @@
 namespace ccq::serve {
 
 inline constexpr char kArtifactMagic[4] = {'C', 'C', 'Q', 'A'};
-/// Version 2: adds the fused fixed-point requantization record per layer.
-/// Older versions are rejected with a named diagnostic — requant fusion
-/// changes the layer boundary numerics, so silently serving a v1 artifact
-/// through the fused datapath would not replay the exporter's outputs.
-inline constexpr std::uint32_t kArtifactVersion = 2;
-/// Version 3: the multi-point (multi-rung) payload described above.
-/// Single-point networks still export as v2, so existing readers keep
-/// working until a model actually ships more than one operating point.
-inline constexpr std::uint32_t kArtifactVersionMulti = 3;
+/// The one payload layout above.  Every other version is rejected with a
+/// named diagnostic before the payload is read: v1 predates the fused
+/// requantization record, and v2 stored single-point networks without
+/// the rung table — regenerate either with `ccq export`.
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 /// Bit-packed integer codes: value[i] = min_code + divisor · packed[i],
 /// each packed entry `bits` wide, appended LSB-first.  `divisor` is the
@@ -84,14 +79,15 @@ inline constexpr std::uint32_t kArtifactVersionMulti = 3;
 struct PackedCodes {
   std::int32_t min_code = 0;
   std::uint32_t divisor = 1;
-  std::uint8_t bits = 0;  ///< bits per packed value; 0 when all equal
+  std::uint8_t bits = 0;  ///< bits per packed value, 1–32; 0 only when empty
   std::uint64_t count = 0;
   std::vector<std::uint8_t> bytes;
 
   std::size_t packed_bytes() const { return bytes.size(); }
 };
 
-/// Pack / unpack a code vector losslessly (round-trip is exact).
+/// Pack / unpack a code vector losslessly (round-trip is exact).  Every
+/// code costs at least one bit, so a constant vector packs at 1 bit.
 PackedCodes pack_codes(const std::vector<std::int32_t>& codes);
 std::vector<std::int32_t> unpack_codes(const PackedCodes& packed);
 
@@ -103,8 +99,8 @@ void export_artifact(const hw::IntegerNetwork& net, const std::string& path);
 /// `IntegerNetwork::compile` contract) and export it.
 void export_artifact(models::QuantModel& model, const std::string& path);
 
-/// Load a packed artifact (v2 single-point or v3 multi-point) back into
-/// a runnable integer network.  Throws ccq::Error naming the file, the
+/// Load a packed artifact (one or more rungs) back into a runnable
+/// integer network.  Throws ccq::Error naming the file, the
 /// offending layer and the expected vs found geometry/bits on any
 /// header, checksum or per-layer mismatch; an unsupported version fails
 /// before any payload byte is read, naming the found and supported
@@ -129,7 +125,7 @@ struct MultiPointOptions {
 /// Replay `trail` (the controller's ladder pick history — see
 /// core/trail.hpp) against `model`'s *final* trained weights and compile
 /// one plan set per selected operating point, returning a multi-rung
-/// network ready for `export_artifact` (which writes it as CCQA v3) or
+/// network ready for `export_artifact` or
 /// direct serving.  The model must currently sit at the trail's final
 /// configuration; its ladder positions are restored on return.  Rung 0
 /// is the earliest (highest-precision) selected configuration, the last
@@ -162,11 +158,11 @@ struct ArtifactInfo {
   /// channel scales, folded biases at one rung) — the denominator of the
   /// packed-vs-float compression ratio `ccq inspect` prints.
   std::uint64_t float_bytes = 0;
-  std::vector<hw::RungInfo> rungs;  ///< per-rung provenance (v3; one default entry for v2)
+  std::vector<hw::RungInfo> rungs;  ///< per-rung provenance
   std::vector<ArtifactLayerInfo> layers;
 };
 
-/// Parse and validate an artifact (v2 or v3) without building kernels or
+/// Parse and validate an artifact without building kernels or
 /// packing panels.  Same failure contract as `load_artifact`.
 ArtifactInfo inspect_artifact(const std::string& path);
 

@@ -295,26 +295,31 @@ TEST(AdaptiveArtifactTest, UnmeetableBudgetThrowsNamingTheBudget) {
 
 TEST(AdaptiveArtifactTest, InspectDescribesBothVersions) {
   auto model = make_mixed_model();
-  const std::string v2_path = temp_path("ccq_adaptive_inspect_v2.ccqa");
-  const std::string v3_path = temp_path("ccq_adaptive_inspect_v3.ccqa");
-  export_artifact(model, v2_path);
+  // Single- and multi-point files share the one format version; a
+  // single-point export is a one-rung file.
+  const std::string single_path = temp_path("ccq_adaptive_inspect_1.ccqa");
+  const std::string multi_path = temp_path("ccq_adaptive_inspect_3.ccqa");
+  export_artifact(model, single_path);
   const core::RungTrail trail = trail_for(model);
-  export_artifact(build_multipoint(model, trail, {}), v3_path);
+  export_artifact(build_multipoint(model, trail, {}), multi_path);
 
-  const ArtifactInfo v2 = inspect_artifact(v2_path);
-  EXPECT_EQ(v2.version, kArtifactVersion);
-  EXPECT_EQ(v2.rung_count, 1u);
-  EXPECT_EQ(v2.file_bytes, fs::file_size(v2_path));
-  EXPECT_GT(v2.float_bytes, v2.file_bytes);  // packing must compress
+  const ArtifactInfo single = inspect_artifact(single_path);
+  EXPECT_EQ(single.version, 3u);
+  EXPECT_EQ(single.rung_count, 1u);
+  ASSERT_EQ(single.rungs.size(), 1u);
+  EXPECT_EQ(single.rungs.front().trail_step, -1);
+  EXPECT_EQ(single.file_bytes, fs::file_size(single_path));
+  EXPECT_GT(single.float_bytes, single.file_bytes);  // packing must compress
 
-  const ArtifactInfo v3 = inspect_artifact(v3_path);
-  EXPECT_EQ(v3.version, kArtifactVersionMulti);
-  EXPECT_EQ(v3.rung_count, 3u);
-  EXPECT_EQ(v3.layer_count, v2.layer_count);
-  EXPECT_EQ(v3.float_bytes, v2.float_bytes);  // geometry is rung-invariant
-  ASSERT_EQ(v3.rungs.size(), 3u);
-  EXPECT_EQ(v3.rungs.back().trail_step, -1);
-  for (const ArtifactLayerInfo& layer : v3.layers) {
+  const ArtifactInfo multi = inspect_artifact(multi_path);
+  EXPECT_EQ(multi.version, 3u);
+  EXPECT_EQ(multi.rung_count, 3u);
+  EXPECT_EQ(multi.layer_count, single.layer_count);
+  // Geometry is rung-invariant.
+  EXPECT_EQ(multi.float_bytes, single.float_bytes);
+  ASSERT_EQ(multi.rungs.size(), 3u);
+  EXPECT_EQ(multi.rungs.back().trail_step, -1);
+  for (const ArtifactLayerInfo& layer : multi.layers) {
     EXPECT_EQ(layer.weight_bits.size(), 3u) << layer.name;
     EXPECT_EQ(layer.act_bits.size(), 3u) << layer.name;
     EXPECT_EQ(layer.requant_fused.size(), 3u) << layer.name;
@@ -339,9 +344,10 @@ TEST(AdaptiveArtifactTest, UnsupportedVersionsFailBeforeThePayload) {
   export_artifact(model, path);
   const std::string original = read_file(path);
 
-  // Versions below and above the supported set; v4 exercises the
-  // forward direction (a newer exporter meeting this reader).
-  for (const std::uint32_t bad : {1u, 4u, 99u}) {
+  // Versions below and above the supported one; v2 is the retired
+  // single-point layout and v4 exercises the forward direction (a newer
+  // exporter meeting this reader).
+  for (const std::uint32_t bad : {1u, 2u, 4u, 99u}) {
     std::string bytes = original;
     std::memcpy(bytes.data() + 4, &bad, sizeof(bad));
     // Corrupt the payload too: negotiation must fire before any payload
@@ -352,8 +358,7 @@ TEST(AdaptiveArtifactTest, UnsupportedVersionsFailBeforeThePayload) {
     EXPECT_NE(message.find("version " + std::to_string(bad)),
               std::string::npos)
         << message;
-    EXPECT_NE(message.find("version 2"), std::string::npos) << message;
-    EXPECT_NE(message.find("version 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("reads version 3"), std::string::npos) << message;
     EXPECT_NE(message.find("regenerate"), std::string::npos) << message;
     // inspect negotiates identically.
     EXPECT_NE(error_message([&] { inspect_artifact(path); })

@@ -138,6 +138,33 @@ IntLayerPlan pool_plan(IntLayerPlan::Kind kind, const std::string& name,
   return plan;
 }
 
+/// Redraw every conv/linear channel_scale as a gain in [1.5, 4.5] over
+/// √(patch depth) × the weight code range × the incoming activation code
+/// range, so a typical accumulator lands inside the next grid instead of
+/// saturating at 0 or qmax (conv_plan's fixed scales over random
+/// full-range weights and deep patches pin most outputs to the clip, and
+/// a sweep comparing clipped codes proves little).
+void scale_to_grid(Rng& rng, std::vector<IntLayerPlan>& plans) {
+  double in_qmax = 255.0;  // the 8-bit input snap
+  for (IntLayerPlan& plan : plans) {
+    if (plan.kind != IntLayerPlan::Kind::kConv &&
+        plan.kind != IntLayerPlan::Kind::kLinear) {
+      continue;
+    }
+    const double depth =
+        plan.kind == IntLayerPlan::Kind::kConv
+            ? static_cast<double>(plan.in_channels * plan.kernel * plan.kernel)
+            : static_cast<double>(plan.in_features);
+    const double norm = std::sqrt(depth) *
+                        static_cast<double>((1 << plan.weight_bits) - 1) *
+                        in_qmax;
+    for (float& s : plan.channel_scale) {
+      s = static_cast<float>(rng.uniform(1.5, 4.5) / norm);
+    }
+    if (plan.has_act) in_qmax = static_cast<double>((1 << plan.act_bits) - 1);
+  }
+}
+
 /// conv → maxpool → conv → 1×1 conv → 5×5 conv → stride-2 conv →
 /// avgpool → gap → linear, everything fused until the unquantized
 /// classifier head.  On an 8×8 input the convs see 8×8, 4×4, 4×4, 4×4
@@ -153,6 +180,7 @@ std::vector<IntLayerPlan> mixed_net(Rng& rng, int bits) {
   plans.push_back(pool_plan(IntLayerPlan::Kind::kAvgPool, "avgpool@6"));
   plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@7"));
   plans.push_back(linear_plan(rng, "fc", 8, 4, bits, 32));
+  scale_to_grid(rng, plans);
   return plans;
 }
 
@@ -239,6 +267,21 @@ TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
                                  " threads=" + std::to_string(threads));
       }
     }
+    // The comparison is only as sensitive as the codes it compares: cut
+    // after the last fused conv, at least a quarter of the decoded
+    // outputs must sit strictly inside the grid, not at 0 or qmax.
+    const IntegerNetwork body = IntegerNetwork::from_plans(
+        std::vector<IntLayerPlan>(plans.begin(), plans.begin() + 6));
+    const Tensor y = body.forward(x);
+    const float qmax = static_cast<float>((1 << bits) - 1);
+    std::size_t interior = 0;
+    for (float v : y.data()) {
+      const float code = std::round(v * qmax);
+      interior += code > 0.0f && code < qmax ? 1 : 0;
+    }
+    EXPECT_GE(4 * interior, y.numel())
+        << "bits=" << bits << ": only " << interior << " of " << y.numel()
+        << " outputs inside (0, " << qmax << ")";
   }
 }
 

@@ -168,8 +168,8 @@ TEST(OperatingPointControllerTest, InvalidPoliciesRejected) {
               OperatingPointController c(inverted, 3, -1, -1, -1);
             }).find("hysteresis"),
             std::string::npos);
-  // Single-rung models skip the check: a v2 artifact loads under any
-  // policy.
+  // Single-rung models skip the check: a single-point (one-rung)
+  // artifact loads under any policy.
   EXPECT_EQ(OperatingPointController(inverted, 1, -1, -1, -1).decide(0, 0),
             0u);
 
@@ -354,7 +354,7 @@ TEST(AdaptiveServeTest, OutOfRangeOverrideRejectedAtAdmission) {
       << message;
   EXPECT_NE(message.find("3 rung(s)"), std::string::npos) << message;
 
-  // A single-point (v2) model rejects any non-default override.
+  // A single-point (one-rung) model rejects any non-default override.
   auto model = make_mixed_model();
   const std::string single = temp_path("ccq_serve_adaptive_single.ccqa");
   export_artifact(model, single);

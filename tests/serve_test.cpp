@@ -112,11 +112,13 @@ TEST(PackCodesTest, DoubledCodesPackAtNativeWidth) {
   EXPECT_EQ(unpack_codes(packed), codes);
 }
 
-TEST(PackCodesTest, ConstantVectorPacksToZeroBits) {
-  const std::vector<std::int32_t> codes(1000, -42);
+TEST(PackCodesTest, ConstantVectorPacksAtOneBit) {
+  // Every code costs at least one bit on disk, so a stream's declared
+  // count is always backed by bytes the loader can bound it by.
+  const std::vector<std::int32_t> codes(1001, -42);
   const PackedCodes packed = pack_codes(codes);
-  EXPECT_EQ(packed.bits, 0);
-  EXPECT_TRUE(packed.bytes.empty());
+  EXPECT_EQ(packed.bits, 1);
+  EXPECT_EQ(packed.bytes.size(), (codes.size() + 7) / 8);
   EXPECT_EQ(unpack_codes(packed), codes);
 }
 
@@ -141,7 +143,7 @@ TEST(ArtifactTest, RoundTripIsBitIdentical) {
     EXPECT_EQ(a.bias, b.bias);
     EXPECT_EQ(a.act_bits, b.act_bits);
     EXPECT_EQ(a.act_clip, b.act_clip);
-    // The v2 requant record round-trips verbatim, and the rederived
+    // The requant record round-trips verbatim, and the rederived
     // integer fields (out_qmax / acc_bound) agree with the exporter's.
     EXPECT_EQ(a.requant_fused, b.requant_fused);
     EXPECT_EQ(a.out_qmax, b.out_qmax);
@@ -160,10 +162,10 @@ TEST(ArtifactTest, RoundTripIsBitIdentical) {
 }
 
 TEST(ArtifactTest, EmptyFloatAndByteSectionsRoundTrip) {
-  // A pooling layer carries empty channel_scale / bias vectors and a
-  // constant weight tensor packs to zero bytes, so loading reads both
-  // back through zero-length copies — which must not hand memcpy the
-  // null data() of an empty vector (undefined even for zero bytes).
+  // A pooling layer carries empty channel_scale / bias vectors and an
+  // empty weight-code stream that packs to zero bytes, so loading reads
+  // them back through zero-length copies — which must not hand memcpy
+  // the null data() of an empty vector (undefined even for zero bytes).
   hw::IntLayerPlan conv;
   conv.kind = hw::IntLayerPlan::Kind::kConv;
   conv.name = "conv0";
@@ -186,7 +188,7 @@ TEST(ArtifactTest, EmptyFloatAndByteSectionsRoundTrip) {
       hw::IntegerNetwork::from_plans({conv, pool});
   ASSERT_TRUE(direct.plan(1).channel_scale.empty());
   ASSERT_TRUE(direct.plan(1).bias.empty());
-  ASSERT_TRUE(pack_codes(direct.plan(0).weight_codes).bytes.empty());
+  ASSERT_TRUE(pack_codes(direct.plan(1).weight_codes).bytes.empty());
 
   const std::string path = temp_path("ccq_serve_empty_sections.ccqa");
   export_artifact(direct, path);
@@ -242,8 +244,9 @@ TEST(ArtifactTest, ChecksumDetectsCorruption) {
 
 TEST(ArtifactTest, OldVersionRejectedWithNamedDiagnostic) {
   // A v1 artifact predates the fused requantization record: silently
-  // parsing it with v2 field layouts would misload, so the version gate
-  // must fire first (before any payload parsing) and name both versions.
+  // parsing it with the current field layouts would misload, so the
+  // version gate must fire first (before any payload parsing) and name
+  // both versions.
   auto model = make_mixed_model();
   const std::string path = temp_path("ccq_serve_oldversion.ccqa");
   export_artifact(model, path);
@@ -341,41 +344,64 @@ void write_hostile(const std::string& path, std::uint32_t version,
   os.write(file.bytes.data(), static_cast<std::streamsize>(file.bytes.size()));
 }
 
+/// A one-rung table — rung count 1, trail step −1 (zigzag 1), accuracy
+/// 0 — ahead of `records`, as every artifact payload starts.
+std::string one_rung(const std::string& records) {
+  RawBytes r;
+  r.varint(1).varint(1).pod(0.0f);
+  return r.bytes + records;
+}
+
 TEST(ArtifactTest, HostileDeclaredSizesFailTyped) {
   // Every size an artifact declares is bounded by the bytes behind it
   // before anything is allocated for it, so a hostile header or section
-  // count fails with a typed error naming the file — never bad_alloc or
-  // length_error.
+  // count fails with a typed error naming the file and the bound it
+  // broke — never bad_alloc or length_error.
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
   struct Case {
     const char* what;
-    std::uint32_t version;
     std::uint32_t layer_count;
     std::string payload;
     bool empty_payload;  // header only: declare kHuge bytes, ship none
+    std::string expect;  // the bound's diagnostic
   };
-  RawBytes v3;
-  v3.varint(std::uint64_t{1} << 40);  // rung count
-  v3.bytes += pool_record(0, 0);
+  RawBytes many_rungs;
+  many_rungs.varint(std::uint64_t{1} << 40);  // rung count
+  many_rungs.bytes += pool_record(0, 0);
   const std::vector<Case> cases = {
-      {"2^62-byte payload", kArtifactVersion, 1, "", true},
-      {"2^32-1 layers", kArtifactVersion, 0xFFFFFFFFu, pool_record(0, 0),
-       false},
-      {"2^62 floats", kArtifactVersion, 1, pool_record(kHuge, 0), false},
-      {"2^40 rungs", kArtifactVersionMulti, 1, v3.bytes, false},
-      {"2^40 requant channels", kArtifactVersion, 1,
-       pool_record(0, std::uint64_t{1} << 40), false},
-      {"2^61 8-bit codes in 0 bytes", kArtifactVersion, 1,
-       pool_record(0, 0, std::uint64_t{1} << 61, 8), false},
+      {"2^62-byte payload", 1, "", true,
+       "header declares 4611686018427387904 bytes"},
+      {"2^32-1 layers", 0xFFFFFFFFu, one_rung(pool_record(0, 0)), false,
+       "declares 4294967295 layers"},
+      {"2^62 floats", 1, one_rung(pool_record(kHuge, 0)), false,
+       "declares 4611686018427387904 floats"},
+      {"2^40 rungs", 1, many_rungs.bytes, false,
+       "declares 1099511627776 rungs"},
+      {"2^40 requant channels", 1,
+       one_rung(pool_record(0, std::uint64_t{1} << 40)), false,
+       "declares 1099511627776 requant channels"},
+      {"2^61 8-bit codes in 0 bytes", 1,
+       one_rung(pool_record(0, 0, std::uint64_t{1} << 61, 8)), false,
+       "declares 2305843009213693952 codes (at least 1 bit each)"},
+      // A zero-bit stream would cost no bytes per code, so nothing could
+      // bound its count; a stream wider than 32 bits is one pack_codes
+      // never writes (and past 63 would shift beyond the unpack word).
+      {"2^34 zero-bit codes", 1,
+       one_rung(pool_record(0, 0, std::uint64_t{1} << 34, 0)), false,
+       "declares 17179869184 codes at 0 bits"},
+      {"64-bit codes", 1, one_rung(pool_record(0, 0, 1, 64)), false,
+       "declares 1 codes at 64 bits"},
   };
   const std::string path = temp_path("ccq_serve_hostile.ccqa");
   for (const Case& c : cases) {
-    write_hostile(path, c.version, c.layer_count, c.payload,
+    write_hostile(path, kArtifactVersion, c.layer_count, c.payload,
                   c.empty_payload ? kHuge : c.payload.size());
     for (const auto& load : std::vector<std::function<void()>>{
              [&] { load_artifact(path); }, [&] { inspect_artifact(path); }}) {
       const std::string message = error_message(load);
       EXPECT_NE(message.find(path), std::string::npos)
+          << c.what << ": " << message;
+      EXPECT_NE(message.find(c.expect), std::string::npos)
           << c.what << ": " << message;
     }
   }

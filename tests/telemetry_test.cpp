@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ccq/common/telemetry.hpp"
@@ -321,6 +322,137 @@ TEST(CcqControllerTest, StepBeforeInitThrows) {
   CcqController controller(f.model, f.train_set, f.val_set, fast_config());
   EXPECT_THROW(controller.step(), Error);
   EXPECT_THROW(controller.save_state(temp_path("ccq_uninit.state")), Error);
+}
+
+std::size_t occurrences(const std::string& text, const std::string& what) {
+  std::size_t n = 0;
+  for (auto at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NamedMetricsTest, BuiltInNamesAreNamedSlots) {
+  // One registry: every built-in id is the same-numbered slot of its
+  // kind's named table, so its name resolves to the enum's id and a
+  // series recorded through either API reads back through the other.
+  using telemetry::NamedKind;
+  telemetry::set_metrics_enabled(true);
+  telemetry::reset_metrics();
+  std::vector<std::string> names;
+  for (int i = 0; i < static_cast<int>(telemetry::Counter::kCount); ++i) {
+    const auto id = static_cast<telemetry::Counter>(i);
+    const std::string name = telemetry::counter_name(id);
+    names.push_back(name);
+    EXPECT_EQ(telemetry::find_named_metric(NamedKind::kCounter, name), i)
+        << name;
+    EXPECT_EQ(telemetry::named_metric(NamedKind::kCounter, name), i) << name;
+    telemetry::add(id, static_cast<std::uint64_t>(i) + 1);
+    telemetry::add_named(i, 100);
+    EXPECT_EQ(telemetry::counter_value(id), static_cast<std::uint64_t>(i) + 101)
+        << name;
+    EXPECT_EQ(telemetry::named_counter_value(i), telemetry::counter_value(id))
+        << name;
+  }
+  for (int i = 0; i < static_cast<int>(telemetry::Gauge::kCount); ++i) {
+    const auto id = static_cast<telemetry::Gauge>(i);
+    const std::string name = telemetry::gauge_name(id);
+    names.push_back(name);
+    EXPECT_EQ(telemetry::find_named_metric(NamedKind::kGauge, name), i)
+        << name;
+    EXPECT_EQ(telemetry::named_metric(NamedKind::kGauge, name), i) << name;
+    telemetry::set_gauge(id, i + 0.5);
+    EXPECT_EQ(telemetry::named_gauge_value(i), i + 0.5) << name;
+    telemetry::set_named_gauge(i, -i - 0.25);
+    EXPECT_EQ(telemetry::gauge_value(id), -i - 0.25) << name;
+  }
+  for (int i = 0; i < static_cast<int>(telemetry::Timer::kCount); ++i) {
+    const auto id = static_cast<telemetry::Timer>(i);
+    const std::string name = telemetry::timer_name(id);
+    names.push_back(name);
+    EXPECT_EQ(telemetry::find_named_metric(NamedKind::kTimer, name), i)
+        << name;
+    EXPECT_EQ(telemetry::named_metric(NamedKind::kTimer, name), i) << name;
+    telemetry::record_duration(id, 1000 + static_cast<std::uint64_t>(i));
+    telemetry::record_named_duration(i, 5);
+    for (const auto& stats :
+         {telemetry::timer_stats(id), telemetry::named_timer_stats(i)}) {
+      EXPECT_EQ(stats.count, 2u) << name;
+      EXPECT_EQ(stats.total_ns, 1005u + static_cast<std::uint64_t>(i))
+          << name;
+      EXPECT_EQ(stats.min_ns, 5u) << name;
+      EXPECT_EQ(stats.max_ns, 1000u + static_cast<std::uint64_t>(i)) << name;
+    }
+  }
+  // The report lists each built-in once, with the value both APIs see.
+  const Json report = telemetry::metrics_to_json();
+  const std::string text = report.dump(-1);
+  for (const std::string& name : names) {
+    EXPECT_EQ(occurrences(text, "\"" + name + "\":"), 1u) << name;
+  }
+  EXPECT_EQ(report.at("counters").at("ccq.probes").as_double(), 101.0);
+  EXPECT_EQ(report.at("gauges").at("ccq.lambda").as_double(), -0.25);
+  EXPECT_EQ(report.at("timers").at("gemm").at("count").as_double(), 2.0);
+  telemetry::reset_metrics();
+  telemetry::set_metrics_enabled(false);
+}
+
+TEST(NamedMetricsTest, ConcurrentRegistrationAndRecordingIsExact) {
+  // Four threads register their own named series while all of them also
+  // record into built-in ids and one shared named series: every total
+  // must come out exact (lock-free recording, mutex-guarded
+  // registration; run under TSan with the telemetry label).
+  using telemetry::NamedKind;
+  telemetry::set_metrics_enabled(true);
+  telemetry::reset_metrics();
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kEvents = 2000;
+  std::vector<int> own_counter(kThreads, -1), own_timer(kThreads, -1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const int shared =
+          telemetry::named_metric(NamedKind::kCounter, "test.concurrent.all");
+      const std::string mine = "test.concurrent." + std::to_string(t);
+      own_counter[t] = telemetry::named_metric(NamedKind::kCounter, mine);
+      own_timer[t] = telemetry::named_metric(NamedKind::kTimer, mine);
+      for (std::uint64_t i = 0; i < kEvents; ++i) {
+        telemetry::add(telemetry::Counter::kProbes);
+        telemetry::add_named(shared, 2);
+        telemetry::add_named(own_counter[t], 3);
+        telemetry::record_duration(telemetry::Timer::kProbeEval, i);
+        telemetry::record_named_duration(own_timer[t], 7);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(telemetry::counter_value(telemetry::Counter::kProbes),
+            kThreads * kEvents);
+  const int shared =
+      telemetry::find_named_metric(NamedKind::kCounter, "test.concurrent.all");
+  ASSERT_GE(shared, static_cast<int>(telemetry::Counter::kCount));
+  EXPECT_EQ(telemetry::named_counter_value(shared), 2 * kThreads * kEvents);
+  const auto probe = telemetry::timer_stats(telemetry::Timer::kProbeEval);
+  EXPECT_EQ(probe.count, kThreads * kEvents);
+  EXPECT_EQ(probe.total_ns, kThreads * kEvents * (kEvents - 1) / 2);
+  EXPECT_EQ(probe.min_ns, 0u);
+  EXPECT_EQ(probe.max_ns, kEvents - 1);
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string mine = "test.concurrent." + std::to_string(t);
+    ASSERT_GE(own_counter[t], static_cast<int>(telemetry::Counter::kCount));
+    ASSERT_GE(own_timer[t], static_cast<int>(telemetry::Timer::kCount));
+    EXPECT_EQ(telemetry::find_named_metric(NamedKind::kCounter, mine),
+              own_counter[t]);
+    EXPECT_EQ(telemetry::named_counter_value(own_counter[t]), 3 * kEvents);
+    const auto stats = telemetry::named_timer_stats(own_timer[t]);
+    EXPECT_EQ(stats.count, kEvents);
+    EXPECT_EQ(stats.total_ns, 7 * kEvents);
+    for (int u = 0; u < t; ++u) EXPECT_NE(own_counter[u], own_counter[t]);
+  }
+  telemetry::reset_metrics();
+  telemetry::set_metrics_enabled(false);
 }
 
 TEST(NamedMetricsTest, CapacityExhaustionDisablesInsteadOfThrowing) {
