@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace ccq {
@@ -97,13 +98,14 @@ struct CountingAllocator {
 /// Storage type for Tensor data and Workspace pool buffers.
 using FloatVec = std::vector<float, CountingAllocator<float>>;
 
-/// Storage types for the Workspace's integer pools (igemm activation
-/// codes, im2col buffers, and the vector kernels' repacked int16 / uint8
-/// activation panels).  Counted by the same allocator so the warm
-/// zero-allocations contract covers the integer datapath too, and
-/// 64-byte aligned for split-free vector loads from the buffer base.
-using Int32Vec = std::vector<std::int32_t, CountingAllocator<std::int32_t, 64>>;
-using Int16Vec = std::vector<std::int16_t, CountingAllocator<std::int16_t, 64>>;
-using ByteVec = std::vector<std::uint8_t, CountingAllocator<std::uint8_t, 64>>;
+/// Workspace pool storage for element type T: `FloatVec` for float; for
+/// the integer pools (int32 / int16 / uint8 igemm activation codes,
+/// im2col buffers and the vector kernels' repacked activation panels)
+/// counted by the same allocator so the warm zero-allocations contract
+/// covers the integer datapath too, and 64-byte aligned for split-free
+/// vector loads from the buffer base.
+template <typename T>
+using PoolVec = std::conditional_t<std::is_same_v<T, float>, FloatVec,
+                                   std::vector<T, CountingAllocator<T, 64>>>;
 
 }  // namespace ccq

@@ -9,7 +9,7 @@ namespace ccq {
 
 namespace {
 
-// Bucket for a *request* of n floats: smallest power of two >= n.
+// Bucket for a *request* of n elements: smallest power of two >= n.
 std::size_t bucket_for_request(std::size_t n) {
   return n <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(n - 1));
 }
@@ -28,18 +28,16 @@ Workspace::Arena& Workspace::local_arena_locked() {
   return *slot;
 }
 
-template <typename Vec>
-Vec Workspace::acquire_impl(std::vector<std::vector<Vec>> Arena::* buckets,
-                            std::size_t n) {
+template <typename T>
+PoolVec<T> Workspace::acquire(std::size_t n) {
   if (n == 0) return {};
   telemetry::ScopedTimer timer(telemetry::Timer::kWorkspaceAcquire);
   const std::size_t b = bucket_for_request(n);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Arena& arena = local_arena_locked();
-    auto& pool = arena.*buckets;
+    auto& pool = std::get<Buckets<T>>(local_arena_locked());
     if (b < pool.size() && !pool[b].empty()) {
-      Vec buf = std::move(pool[b].back());
+      PoolVec<T> buf = std::move(pool[b].back());
       pool[b].pop_back();
       buf.resize(n);  // capacity >= bucket size >= n: no allocation
       telemetry::add(telemetry::Counter::kWorkspaceHits);
@@ -49,74 +47,51 @@ Vec Workspace::acquire_impl(std::vector<std::vector<Vec>> Arena::* buckets,
   // Miss: allocate once at full bucket capacity so later requests of any
   // size in this bucket reuse it.
   telemetry::add(telemetry::Counter::kWorkspaceMisses);
-  Vec buf;
+  PoolVec<T> buf;
   buf.reserve(std::size_t{1} << b);
   buf.resize(n);
   return buf;
 }
 
-template <typename Vec>
-void Workspace::release_impl(std::vector<std::vector<Vec>> Arena::* buckets,
-                             Vec&& buf) {
+template <typename T, typename Alloc>
+void Workspace::release(std::vector<T, Alloc>&& buf) {
+  static_assert(std::is_same_v<std::vector<T, Alloc>, PoolVec<T>>,
+                "Workspace::release takes pool storage (PoolVec<T>)");
   if (buf.capacity() == 0) return;
   const std::size_t b = bucket_for_capacity(buf.capacity());
   std::lock_guard<std::mutex> lock(mutex_);
-  Arena& arena = local_arena_locked();
-  auto& pool = arena.*buckets;
+  auto& pool = std::get<Buckets<T>>(local_arena_locked());
   if (pool.size() <= b) pool.resize(b + 1);
   pool[b].push_back(std::move(buf));
 }
 
-FloatVec Workspace::acquire(std::size_t n) {
-  return acquire_impl(&Arena::buckets, n);
-}
-
-void Workspace::release(FloatVec&& buf) {
-  release_impl(&Arena::buckets, std::move(buf));
-}
-
-Int32Vec Workspace::acquire_ints(std::size_t n) {
-  return acquire_impl(&Arena::int_buckets, n);
-}
-
-void Workspace::release_ints(Int32Vec&& buf) {
-  release_impl(&Arena::int_buckets, std::move(buf));
-}
-
-Int16Vec Workspace::acquire_shorts(std::size_t n) {
-  return acquire_impl(&Arena::short_buckets, n);
-}
-
-void Workspace::release_shorts(Int16Vec&& buf) {
-  release_impl(&Arena::short_buckets, std::move(buf));
-}
-
-ByteVec Workspace::acquire_bytes(std::size_t n) {
-  return acquire_impl(&Arena::byte_buckets, n);
-}
-
-void Workspace::release_bytes(ByteVec&& buf) {
-  release_impl(&Arena::byte_buckets, std::move(buf));
-}
+#define CCQ_WORKSPACE_POOL(T)                                   \
+  template PoolVec<T> Workspace::acquire<T>(std::size_t);       \
+  template void Workspace::release(PoolVec<T>&&);
+CCQ_WORKSPACE_POOL(float)
+CCQ_WORKSPACE_POOL(std::int32_t)
+CCQ_WORKSPACE_POOL(std::int16_t)
+CCQ_WORKSPACE_POOL(std::uint8_t)
+#undef CCQ_WORKSPACE_POOL
 
 void Workspace::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
+  const auto clear = [](auto& pool) {
+    for (auto& bucket : pool) bucket.clear();
+  };
   for (auto& [tid, arena] : arenas_) {
-    for (auto& bucket : arena->buckets) bucket.clear();
-    for (auto& bucket : arena->int_buckets) bucket.clear();
-    for (auto& bucket : arena->short_buckets) bucket.clear();
-    for (auto& bucket : arena->byte_buckets) bucket.clear();
+    std::apply([&](auto&... pools) { (clear(pools), ...); }, *arena);
   }
 }
 
 std::size_t Workspace::pooled_buffers() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t n = 0;
+  const auto count = [&](const auto& pool) {
+    for (const auto& bucket : pool) n += bucket.size();
+  };
   for (const auto& [tid, arena] : arenas_) {
-    for (const auto& bucket : arena->buckets) n += bucket.size();
-    for (const auto& bucket : arena->int_buckets) n += bucket.size();
-    for (const auto& bucket : arena->short_buckets) n += bucket.size();
-    for (const auto& bucket : arena->byte_buckets) n += bucket.size();
+    std::apply([&](const auto&... pools) { (count(pools), ...); }, *arena);
   }
   return n;
 }
@@ -124,23 +99,15 @@ std::size_t Workspace::pooled_buffers() const {
 std::size_t Workspace::pooled_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t bytes = 0;
+  const auto sum = [&](const auto& pool) {
+    for (const auto& bucket : pool) {
+      for (const auto& buf : bucket) {
+        bytes += buf.capacity() * sizeof(buf[0]);
+      }
+    }
+  };
   for (const auto& [tid, arena] : arenas_) {
-    for (const auto& bucket : arena->buckets) {
-      for (const auto& buf : bucket) bytes += buf.capacity() * sizeof(float);
-    }
-    for (const auto& bucket : arena->int_buckets) {
-      for (const auto& buf : bucket) {
-        bytes += buf.capacity() * sizeof(std::int32_t);
-      }
-    }
-    for (const auto& bucket : arena->short_buckets) {
-      for (const auto& buf : bucket) {
-        bytes += buf.capacity() * sizeof(std::int16_t);
-      }
-    }
-    for (const auto& bucket : arena->byte_buckets) {
-      for (const auto& buf : bucket) bytes += buf.capacity();
-    }
+    std::apply([&](const auto&... pools) { (sum(pools), ...); }, *arena);
   }
   return bytes;
 }

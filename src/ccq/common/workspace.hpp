@@ -22,6 +22,9 @@
 //     pool's contents are deterministic per thread.  All bookkeeping is
 //     mutex-guarded, so concurrent acquire/release from inside a
 //     parallel region is safe.
+//   * Every element type (float, int32, int16, uint8) has its own bucket
+//     list in each arena; `acquire<T>` / `release` and the RAII
+//     `Lease<T>` are the one interface over all four.
 //   * Pooling never changes numerics: a workspace tensor has the same
 //     shape/content as its heap-allocated counterpart, so workspace and
 //     legacy forwards are bit-identical (regression-tested).
@@ -32,11 +35,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ccq/common/alloc.hpp"
@@ -51,157 +57,63 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   // ---- raw buffer pool --------------------------------------------------
-  /// A buffer of exactly `n` floats with unspecified contents.  Served
-  /// from the calling thread's arena when a bucket match exists; falls
-  /// back to one heap allocation of the full bucket capacity.
-  FloatVec acquire(std::size_t n);
+  // One pool per element type: float (layer tensors, im2col columns) and
+  // int32 / int16 / uint8 (the igemm deployment path's activation codes,
+  // column buffers and repacked vector-kernel panels), so warm float and
+  // warm integer inference are both allocation-free.
 
-  /// Return a buffer to the calling thread's arena.  Zero-capacity
-  /// buffers are dropped.
-  void release(FloatVec&& buf);
+  /// A buffer of exactly `n` T with unspecified contents.  Served from
+  /// the calling thread's arena when a bucket match exists; falls back
+  /// to one heap allocation of the full bucket capacity.  T is float,
+  /// int32, int16 or uint8.
+  template <typename T = float>
+  PoolVec<T> acquire(std::size_t n);
 
-  /// RAII scratch lease: acquires on construction, releases back to the
-  /// pool on destruction.  Movable, not copyable.
-  class FloatLease {
+  /// Return a buffer to the calling thread's arena (the pool of its
+  /// element type).  Zero-capacity buffers are dropped.
+  template <typename T, typename Alloc>
+  void release(std::vector<T, Alloc>&& buf);
+
+  /// RAII scratch lease of `n` T: acquires on construction, returns the
+  /// buffer to its pool on destruction.  Movable, not copyable; a
+  /// move-assignment returns the overwritten buffer to the pool first.
+  template <typename T>
+  class Lease {
    public:
-    FloatLease(Workspace& ws, std::size_t n)
-        : ws_(&ws), buf_(ws.acquire(n)) {}
-    FloatLease(FloatLease&& other) noexcept
-        : ws_(other.ws_), buf_(std::move(other.buf_)) {
-      other.ws_ = nullptr;
+    Lease(Workspace& ws, std::size_t n) : ws_(&ws), buf_(ws.acquire<T>(n)) {}
+    Lease(Lease&& other) noexcept
+        : ws_(std::exchange(other.ws_, nullptr)), buf_(std::move(other.buf_)) {}
+    Lease& operator=(Lease&& other) noexcept {
+      if (this != &other) {
+        give_back();
+        ws_ = std::exchange(other.ws_, nullptr);
+        buf_ = std::move(other.buf_);
+      }
+      return *this;
     }
-    FloatLease& operator=(FloatLease&&) = delete;
-    FloatLease(const FloatLease&) = delete;
-    FloatLease& operator=(const FloatLease&) = delete;
-    ~FloatLease() {
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() { give_back(); }
+
+    T* data() { return buf_.data(); }
+    const T* data() const { return buf_.data(); }
+    std::size_t size() const { return buf_.size(); }
+    std::span<T> span() { return {buf_.data(), buf_.size()}; }
+
+   private:
+    void give_back() {
       if (ws_ != nullptr) ws_->release(std::move(buf_));
     }
 
-    float* data() { return buf_.data(); }
-    const float* data() const { return buf_.data(); }
-    std::size_t size() const { return buf_.size(); }
-    std::span<float> span() { return {buf_.data(), buf_.size()}; }
-
-   private:
     Workspace* ws_;
-    FloatVec buf_;
+    PoolVec<T> buf_;
   };
 
-  /// Lease `n` floats of scratch (unspecified contents).
-  FloatLease floats(std::size_t n) { return FloatLease(*this, n); }
-
-  // ---- integer buffer pools ---------------------------------------------
-  // Same bucket/arena machinery over int32 / int16 / byte storage: the
-  // igemm deployment path leases activation-code and im2col column
-  // buffers (int32) plus the vector kernels' repacked int16 / uint8
-  // activation panels here, so warm integer inference is allocation-free
-  // alongside the float pool.  All integer pool storage is 64-byte
-  // aligned (alloc.hpp) for split-free SIMD loads from the buffer base.
-
-  /// A buffer of exactly `n` int32s with unspecified contents.
-  Int32Vec acquire_ints(std::size_t n);
-
-  /// Return an int32 buffer to the calling thread's arena.
-  void release_ints(Int32Vec&& buf);
-
-  /// RAII int32 scratch lease (mirror of FloatLease).
-  class IntLease {
-   public:
-    IntLease(Workspace& ws, std::size_t n)
-        : ws_(&ws), buf_(ws.acquire_ints(n)) {}
-    IntLease(IntLease&& other) noexcept
-        : ws_(other.ws_), buf_(std::move(other.buf_)) {
-      other.ws_ = nullptr;
-    }
-    IntLease& operator=(IntLease&&) = delete;
-    IntLease(const IntLease&) = delete;
-    IntLease& operator=(const IntLease&) = delete;
-    ~IntLease() {
-      if (ws_ != nullptr) ws_->release_ints(std::move(buf_));
-    }
-
-    std::int32_t* data() { return buf_.data(); }
-    const std::int32_t* data() const { return buf_.data(); }
-    std::size_t size() const { return buf_.size(); }
-    std::span<std::int32_t> span() { return {buf_.data(), buf_.size()}; }
-
-   private:
-    Workspace* ws_;
-    Int32Vec buf_;
-  };
-
-  /// Lease `n` int32s of scratch (unspecified contents).
-  IntLease ints(std::size_t n) { return IntLease(*this, n); }
-
-  /// A buffer of exactly `n` int16s with unspecified contents.
-  Int16Vec acquire_shorts(std::size_t n);
-
-  /// Return an int16 buffer to the calling thread's arena.
-  void release_shorts(Int16Vec&& buf);
-
-  /// RAII int16 scratch lease (vec16 igemm activation panels).
-  class ShortLease {
-   public:
-    ShortLease(Workspace& ws, std::size_t n)
-        : ws_(&ws), buf_(ws.acquire_shorts(n)) {}
-    ShortLease(ShortLease&& other) noexcept
-        : ws_(other.ws_), buf_(std::move(other.buf_)) {
-      other.ws_ = nullptr;
-    }
-    ShortLease& operator=(ShortLease&&) = delete;
-    ShortLease(const ShortLease&) = delete;
-    ShortLease& operator=(const ShortLease&) = delete;
-    ~ShortLease() {
-      if (ws_ != nullptr) ws_->release_shorts(std::move(buf_));
-    }
-
-    std::int16_t* data() { return buf_.data(); }
-    const std::int16_t* data() const { return buf_.data(); }
-    std::size_t size() const { return buf_.size(); }
-    std::span<std::int16_t> span() { return {buf_.data(), buf_.size()}; }
-
-   private:
-    Workspace* ws_;
-    Int16Vec buf_;
-  };
-
-  /// Lease `n` int16s of scratch (unspecified contents).
-  ShortLease shorts(std::size_t n) { return ShortLease(*this, n); }
-
-  /// A buffer of exactly `n` bytes with unspecified contents.
-  ByteVec acquire_bytes(std::size_t n);
-
-  /// Return a byte buffer to the calling thread's arena.
-  void release_bytes(ByteVec&& buf);
-
-  /// RAII byte scratch lease (vec-packed igemm activation panels).
-  class ByteLease {
-   public:
-    ByteLease(Workspace& ws, std::size_t n)
-        : ws_(&ws), buf_(ws.acquire_bytes(n)) {}
-    ByteLease(ByteLease&& other) noexcept
-        : ws_(other.ws_), buf_(std::move(other.buf_)) {
-      other.ws_ = nullptr;
-    }
-    ByteLease& operator=(ByteLease&&) = delete;
-    ByteLease(const ByteLease&) = delete;
-    ByteLease& operator=(const ByteLease&) = delete;
-    ~ByteLease() {
-      if (ws_ != nullptr) ws_->release_bytes(std::move(buf_));
-    }
-
-    std::uint8_t* data() { return buf_.data(); }
-    const std::uint8_t* data() const { return buf_.data(); }
-    std::size_t size() const { return buf_.size(); }
-    std::span<std::uint8_t> span() { return {buf_.data(), buf_.size()}; }
-
-   private:
-    Workspace* ws_;
-    ByteVec buf_;
-  };
-
-  /// Lease `n` bytes of scratch (unspecified contents).
-  ByteLease bytes(std::size_t n) { return ByteLease(*this, n); }
+  /// Lease `n` T of scratch (unspecified contents).
+  template <typename T>
+  Lease<T> lease(std::size_t n) {
+    return Lease<T>(*this, n);
+  }
 
   // ---- pool-backed tensors (inline: header-only Tensor bridge) ----------
   /// Zero-filled tensor backed by pool storage.
@@ -227,9 +139,10 @@ class Workspace {
   /// untouched and may still be recycled into the (now empty) pool.
   void reset();
 
-  /// Free buffers currently pooled across all arenas (test hook).
+  /// Free buffers currently pooled across all arenas and element types
+  /// (test hook).
   std::size_t pooled_buffers() const;
-  /// Bytes of float storage those buffers hold (by capacity).
+  /// Bytes of storage those buffers hold (by capacity).
   std::size_t pooled_bytes() const;
 
   /// Process-global workspace used by the legacy `forward(x)` shims, so
@@ -237,22 +150,12 @@ class Workspace {
   static Workspace& scratch();
 
  private:
-  // One free-list vector per power-of-two capacity bucket; float, int32,
-  // int16 and byte storage pool separately (buffers never change element
-  // type).
-  struct Arena {
-    std::vector<std::vector<FloatVec>> buckets;
-    std::vector<std::vector<Int32Vec>> int_buckets;
-    std::vector<std::vector<Int16Vec>> short_buckets;
-    std::vector<std::vector<ByteVec>> byte_buckets;
-  };
-
-  template <typename Vec>
-  Vec acquire_impl(std::vector<std::vector<Vec>> Arena::* buckets,
-                   std::size_t n);
-  template <typename Vec>
-  void release_impl(std::vector<std::vector<Vec>> Arena::* buckets,
-                    Vec&& buf);
+  // One free-list vector per power-of-two capacity bucket, one bucket
+  // list per element type.
+  template <typename T>
+  using Buckets = std::vector<std::vector<PoolVec<T>>>;
+  using Arena = std::tuple<Buckets<float>, Buckets<std::int32_t>,
+                           Buckets<std::int16_t>, Buckets<std::uint8_t>>;
 
   Arena& local_arena_locked();  // requires mutex_ held
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <set>
 #include <type_traits>
+#include <variant>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/hw/fixed_point.hpp"
@@ -580,40 +580,31 @@ void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
   }
 }
 
-/// Owner of the flowing activation codes in the walk: exactly one of
-/// the u8 / i16 leases is engaged while the network stays in the code
-/// domain (leases have deleted move-assignment, hence the optionals).
+/// Owner of the flowing activation codes in the walk: a u8 or i16 lease
+/// while the network stays in the code domain, nothing otherwise.
 class CodeStore {
  public:
-  bool engaged() const { return b8_.has_value() || i16_.has_value(); }
-  void reset() {
-    b8_.reset();
-    i16_.reset();
+  bool engaged() const {
+    return !std::holds_alternative<std::monostate>(codes_);
   }
+  void reset() { codes_ = std::monostate{}; }
   /// Call `f` with the engaged typed code pointer.
   template <typename F>
   void visit(F&& f) const {
-    if (b8_.has_value()) {
-      f(static_cast<const std::uint8_t*>(b8_->data()));
-    } else {
-      f(static_cast<const std::int16_t*>(i16_->data()));
-    }
+    std::visit(
+        [&](const auto& held) {
+          if constexpr (requires { held.data(); }) f(held.data());
+        },
+        codes_);
   }
   /// Lease `n` codes of type T (u8 or i16), let `fill` write them, then
-  /// make them the flowing codes; `fill` may still read the old ones.
+  /// make them the flowing codes; `fill` may still read the old ones,
+  /// which go back to the pool on the assignment.
   template <typename T, typename F>
   void produce(Workspace& ws, std::size_t n, F&& fill) {
-    if constexpr (std::is_same_v<T, std::uint8_t>) {
-      Workspace::ByteLease lease = ws.bytes(n);
-      fill(lease.data());
-      reset();
-      b8_.emplace(std::move(lease));
-    } else {
-      Workspace::ShortLease lease = ws.shorts(n);
-      fill(lease.data());
-      reset();
-      i16_.emplace(std::move(lease));
-    }
+    Workspace::Lease<T> lease = ws.lease<T>(n);
+    fill(lease.data());
+    codes_ = std::move(lease);
   }
   /// `produce` at the narrowest width holding codes in [0, qmax].
   template <typename F>
@@ -628,18 +619,16 @@ class CodeStore {
   /// `f(src, dst)` (pooling).
   template <typename F>
   void map(Workspace& ws, std::size_t n, F&& f) {
-    if (b8_.has_value()) {
-      const std::uint8_t* src = b8_->data();
-      produce<std::uint8_t>(ws, n, [&](std::uint8_t* dst) { f(src, dst); });
-    } else {
-      const std::int16_t* src = i16_->data();
-      produce<std::int16_t>(ws, n, [&](std::int16_t* dst) { f(src, dst); });
-    }
+    visit([&](const auto* src) {
+      using T = std::remove_cvref_t<decltype(*src)>;
+      produce<T>(ws, n, [&](T* dst) { f(src, dst); });
+    });
   }
 
  private:
-  std::optional<Workspace::ByteLease> b8_;
-  std::optional<Workspace::ShortLease> i16_;
+  std::variant<std::monostate, Workspace::Lease<std::uint8_t>,
+               Workspace::Lease<std::int16_t>>
+      codes_;
 };
 
 void set_out(IgemmOp& op, std::uint8_t* out) { op.out8 = out; }
@@ -800,7 +789,8 @@ Tensor walk(const std::vector<IntLayerPlan>& plans, const Tensor& x,
         run_on_codes();
         codes.reset();
       } else {
-        Workspace::IntLease xcodes = ws.ints(act.numel());
+        Workspace::Lease<std::int32_t> xcodes =
+            ws.lease<std::int32_t>(act.numel());
         to_int_codes(act, scale, xcodes.data());
         op.x = xcodes.data();
         mac(op, plan, ctx);

@@ -66,7 +66,7 @@ Tensor Conv2d::forward(const Tensor& x, Workspace& ws) {
   // the loop runs inline (no parallel region), so the inner im2col/GEMM
   // parallelise instead.
   parallel_for(ctx, n, 1, [&](std::size_t i0, std::size_t i1) {
-    Workspace::FloatLease cols = ws.floats(patch * spatial);
+    Workspace::Lease<float> cols = ws.lease<float>(patch * spatial);
     for (std::size_t i = i0; i < i1; ++i) {
       const float* xi = x.data().data() + i * in_channels_ * h * w;
       float* yi = y.data().data() + i * out_channels_ * spatial;
@@ -101,8 +101,8 @@ Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
   // need zeroed workspace tensors, not uninit ones.
   Tensor grad_in = ws.tensor(input_.shape());
   Tensor grad_qw = ws.tensor(weight_.value.shape());  // dL/d(quantized w)
-  Workspace::FloatLease cols = ws.floats(patch * spatial);
-  Workspace::FloatLease cols_grad = ws.floats(patch * spatial);
+  Workspace::Lease<float> cols = ws.lease<float>(patch * spatial);
+  Workspace::Lease<float> cols_grad = ws.lease<float>(patch * spatial);
   const float* wp = qweight_.data().data();
   float* gwp = grad_qw.data().data();
   const ExecContext& ctx = exec();

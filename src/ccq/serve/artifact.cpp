@@ -365,6 +365,20 @@ void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
   r.set_context(plan.name);
   const std::string at = "layer index " + std::to_string(index) + ", kind " +
                          kind_str(plan.kind);
+  // The engine divides by every stride and pools over every window, so a
+  // zero here must fail at load, not at the first request.
+  const auto positive = [&](const char* what, std::size_t kernel,
+                            std::size_t stride) {
+    if (kernel == 0 || stride == 0) {
+      r.fail(std::string(what) + " kernel " + std::to_string(kernel) +
+             " with stride " + std::to_string(stride) +
+             ": both must be positive (" + at + ")");
+    }
+  };
+  if (plan.kind == Kind::kConv) positive("conv", plan.kernel, plan.stride);
+  if (plan.kind == Kind::kMaxPool || plan.kind == Kind::kAvgPool) {
+    positive("pool", plan.pool_kernel, plan.pool_stride);
+  }
   if (plan.kind == Kind::kConv || plan.kind == Kind::kLinear) {
     if (plan.weight_bits < 2 || plan.weight_bits > 15) {
       r.fail("weight bits " + std::to_string(plan.weight_bits) +

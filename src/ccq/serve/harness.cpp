@@ -82,14 +82,21 @@ HarnessReport ServeHarness::run(const Tensor& samples,
   const std::size_t n = inputs.size();
   const std::size_t producers = options.producers;
 
-  // Scripted ramp: fix every request's offer time up front by walking
-  // the stages, so the offered-load trajectory is exactly reproducible
-  // run to run regardless of producer scheduling.
+  // Open-loop schedule: request i is *offered* at start + offer_at[i]
+  // across the whole fleet of producers, whether or not earlier replies
+  // arrived.  A fixed `offered_rps` is a one-stage ramp.  Every offer
+  // time is fixed up front by walking the stages, so the offered-load
+  // trajectory is exactly reproducible run to run regardless of
+  // producer scheduling.
+  std::vector<RampStage> stages = options.ramp;
+  if (stages.empty() && open_loop && n > 0) {
+    stages.push_back({options.offered_rps, n});
+  }
   std::vector<Clock::duration> offer_at;
-  if (!options.ramp.empty()) {
+  if (!stages.empty()) {
     offer_at.reserve(n);
     auto cursor = Clock::duration::zero();
-    for (const RampStage& stage : options.ramp) {
+    for (const RampStage& stage : stages) {
       CCQ_CHECK(stage.rps > 0.0 && stage.requests > 0,
                 "every ramp stage needs a positive rps and request count");
       const auto gap = std::chrono::duration_cast<Clock::duration>(
@@ -134,13 +141,6 @@ HarnessReport ServeHarness::run(const Tensor& samples,
     if (!first_error) first_error = error;
   };
 
-  // Open-loop pacing: request i is *offered* at start + i/rps across the
-  // whole fleet of producers, whether or not earlier replies arrived.
-  const auto offer_interval =
-      open_loop ? std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(1.0 / options.offered_rps))
-                : Clock::duration::zero();
-
   const auto start = Clock::now();
 
   const auto produce = [&](std::size_t p) {
@@ -153,7 +153,7 @@ HarnessReport ServeHarness::run(const Tensor& samples,
         request.height = inputs[i].dim(1);
         request.width = inputs[i].dim(2);
         request.data.assign(inputs[i].data().begin(), inputs[i].data().end());
-        if (options.tag_points || options.rung >= 0) {
+        if (options.rung >= 0) {
           request.has_point = true;
           request.point = options.rung;
         }
@@ -214,11 +214,7 @@ HarnessReport ServeHarness::run(const Tensor& samples,
     submit_options.rung = options.rung;
     submit_options.deadline_us = options.deadline_us;
     for (std::size_t i = p; i < n; i += producers) {
-      if (open_loop) {
-        std::this_thread::sleep_until(
-            start + (offer_at.empty() ? offer_interval * static_cast<long>(i)
-                                      : offer_at[i]));
-      }
+      if (open_loop) std::this_thread::sleep_until(start + offer_at[i]);
       submit_options.priority = priority_of(i);
       for (;;) {
         const ModelHandle handle = server_->resolve(model_);

@@ -56,20 +56,19 @@ struct HarnessOptions {
   /// histograms (`serve.*.latency`).
   double offered_rps = 0.0;
   /// Scripted open-loop schedule (overrides `offered_rps` when
-  /// non-empty): request i's offer time is fixed up front by walking the
+  /// non-empty; a fixed `offered_rps` runs as one stage of every
+  /// sample): request i's offer time is fixed up front by walking the
   /// stages, so an up-then-down rate ramp is exactly reproducible — the
   /// deterministic way to watch the operating-point controller degrade
   /// past the saturation knee and restore when load drops.  Stage
   /// request counts must sum to the sample count.
   std::vector<RampStage> ramp;
   /// Operating-point override attached to every submission (−1 = let
-  /// the server's controller choose).
+  /// the server's controller choose).  In TCP mode a request carries the
+  /// operating-point tag exactly when `rung >= 0`, and the reply echoes
+  /// the rung that served it into `HarnessReport::rungs`.  In-process
+  /// runs always report rungs.
   std::int32_t rung = -1;
-  /// TCP mode: carry the operating-point tag (with `rung`, possibly −1)
-  /// on every request so replies echo the rung that served them into
-  /// `HarnessReport::rungs`.  Requires a server speaking the tagged
-  /// protocol revision.  In-process runs always report rungs.
-  bool tag_points = false;
   /// After this many admitted submissions, run `on_swap` exactly once
   /// from a producer thread (0 = never).
   std::size_t swap_after = 0;
@@ -95,8 +94,8 @@ struct HarnessReport {
   /// observable hot-swap tests assert on.
   std::vector<std::uint64_t> versions;
   /// The serving rung that executed each sample (−1 where shed, or in
-  /// TCP mode without `tag_points`) — the observable the adaptive
-  /// serving tests assert on.
+  /// TCP mode when `rung` is −1) — the observable the adaptive serving
+  /// tests assert on.
   std::vector<std::int32_t> rungs;
   std::size_t requests = 0;   ///< samples that got a served reply
   /// Submission *attempts*: every call at the admission door, so a

@@ -100,7 +100,7 @@ void run_scalar_conv(const IgemmOp& op, const ExecContext& ctx) {
   img_op.conv.reset();
   igemm_detail::with_x(op, [&](const auto* x) {
     using TX = std::remove_cv_t<std::remove_pointer_t<decltype(x)>>;
-    auto cols = igemm_detail::lease_codes<TX>(ws, op.k * op.n);
+    Workspace::Lease<TX> cols = ws.lease<TX>(op.k * op.n);
     img_op.set_codes(static_cast<const TX*>(cols.data()));
     for (std::size_t img = 0; img < op.conv->images; ++img) {
       im2col(x + img * in_stride, g, cols.data(), ctx);
@@ -185,7 +185,7 @@ IgemmKernel igemm_requested_kernel() {
   return igemm_kernel_from_str(env);
 }
 
-bool igemm_packed_simd() { return igemm_detail::packed_simd(); }
+bool igemm_packed_simd() { return igemm_detail::kPackedSimd; }
 
 bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
                            std::int64_t x_bound, IgemmAccum accum) {
@@ -200,10 +200,11 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
       return accum == IgemmAccum::kInt32 && w_max <= kI16Max &&
              x_bound > 0 && x_bound <= kI16Max;
     case IgemmKernel::kVecPacked:
-      // int8 weight lanes, uint8 activation lanes, and no intermediate
-      // int16 saturation in maddubs: |pair| <= 2·w_max·x_bound <= 32767.
-      return accum == IgemmAccum::kInt32 && w_max <= 127 && x_bound > 0 &&
-             x_bound <= 255 &&
+      // 8-bit SIMD in this build, int8 weight lanes, uint8 activation
+      // lanes, and no intermediate int16 saturation in maddubs:
+      // |pair| <= 2·w_max·x_bound <= 32767.
+      return igemm_packed_simd() && accum == IgemmAccum::kInt32 &&
+             w_max <= 127 && x_bound > 0 && x_bound <= 255 &&
              2 * static_cast<std::int64_t>(w_max) * x_bound <= kI16Max;
     case IgemmKernel::kAuto:
       break;  // a selection policy, never directly executable
@@ -213,20 +214,14 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
 
 IgemmKernel igemm_select_kernel(IgemmKernel requested, std::int32_t w_max,
                                 std::int64_t x_bound, IgemmAccum accum) {
-  // An eligible explicit request is honoured as-is (including vec-packed
-  // on builds without 8-bit SIMD — its portable loop still exists, and
-  // forcing it is how tests and benchmarks pin a variant).  Ineligible
-  // requests and kAuto fall down the density ladder.
-  if (requested != IgemmKernel::kAuto &&
-      igemm_kernel_eligible(requested, w_max, x_bound, accum)) {
+  // An eligible explicit request is honoured as-is (forcing one is how
+  // tests and benchmarks pin a variant).  Ineligible requests and kAuto
+  // fall down the density ladder; scalar is always eligible.
+  if (igemm_kernel_eligible(requested, w_max, x_bound, accum)) {
     return requested;
   }
-  if (igemm_packed_simd() &&
-      igemm_kernel_eligible(IgemmKernel::kVecPacked, w_max, x_bound, accum)) {
-    return IgemmKernel::kVecPacked;
-  }
-  if (igemm_kernel_eligible(IgemmKernel::kVec16, w_max, x_bound, accum)) {
-    return IgemmKernel::kVec16;
+  for (IgemmKernel kernel : {IgemmKernel::kVecPacked, IgemmKernel::kVec16}) {
+    if (igemm_kernel_eligible(kernel, w_max, x_bound, accum)) return kernel;
   }
   return IgemmKernel::kScalar;
 }
@@ -382,12 +377,15 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
     }
     case IgemmKernel::kVec16: {
       telemetry::ScopedTimer kt(telemetry::Timer::kIgemmVec16);
-      igemm_detail::run_vec16(op, ctx);
+      igemm_detail::run_vec<std::int16_t>(op, panel.i16.data(), ctx);
       break;
     }
     case IgemmKernel::kVecPacked: {
       telemetry::ScopedTimer kt(telemetry::Timer::kIgemmVecPacked);
-      igemm_detail::run_vec_packed(op, ctx);
+      // Eligibility (above) admits vec-packed only where it is built.
+      if constexpr (igemm_detail::kPackedSimd) {
+        igemm_detail::run_vec<std::uint8_t>(op, panel.i8.data(), ctx);
+      }
       break;
     }
     case IgemmKernel::kAuto:

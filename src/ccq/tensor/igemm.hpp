@@ -26,7 +26,9 @@
 //     where the feature gate allows and a compiler-vectorizable portable
 //     loop elsewhere), `vec-packed` (weights and activations narrowed to
 //     8-bit lanes for 2–4-bit layers, doubling arithmetic density per
-//     vector op), and `auto` (pick the densest eligible kernel);
+//     vector op; SSSE3/AVX2 only — a build without 8-bit SIMD has no
+//     vec-packed loop and never selects it), and `auto` (pick the
+//     densest eligible kernel);
 //   * accumulation is `int32` when the statically computed bound
 //     max|a|·max|b|·k fits (see `igemm_fits_int32`), else `int64`.
 //
@@ -133,7 +135,8 @@ IgemmKernel igemm_requested_kernel();
 ///                [0, x_bound] with x_bound <= 32767 (codes narrow to
 ///                int16 lanes; pairwise pmaddwd intermediates stay under
 ///                the igemm_fits_int32 bound the caller established);
-///   vec-packed — additionally w_max <= 127 (int8 weight lanes),
+///   vec-packed — additionally 8-bit SIMD in this build
+///                (igemm_packed_simd), w_max <= 127 (int8 weight lanes),
 ///                x_bound <= 255 (uint8 activation lanes) and
 ///                2·w_max·x_bound <= 32767 so pairwise products cannot
 ///                reach int16 saturation (true for every 2–4-bit ladder
@@ -144,15 +147,16 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
                            std::int64_t x_bound, IgemmAccum accum);
 
 /// Resolve `requested` to a concrete executable kernel for a layer with
-/// the given static bounds: kAuto (and any ineligible explicit request)
-/// walks vec-packed → vec16 → scalar, preferring vec-packed only when
-/// this build carries 8-bit SIMD for it (otherwise its portable loop is
-/// no denser than vec16's).
+/// the given static bounds: an eligible explicit request is honoured;
+/// kAuto and any ineligible request walk vec-packed → vec16 → scalar
+/// and take the first eligible kernel (so without 8-bit SIMD, where
+/// vec-packed is never eligible, vec16 leads).
 IgemmKernel igemm_select_kernel(IgemmKernel requested, std::int32_t w_max,
                                 std::int64_t x_bound, IgemmAccum accum);
 
 /// True when this build has narrow-lane SIMD for vec-packed (SSSE3/AVX2
-/// maddubs path) — the gate `igemm_select_kernel` consults for kAuto.
+/// maddubs path).  Without it vec-packed has no loop: it is never
+/// eligible, and `igemm_run` refuses a vec-packed panel.
 bool igemm_packed_simd();
 
 // ---- packed weight panels ---------------------------------------------------

@@ -5,11 +5,21 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "ccq/tensor/igemm.hpp"
 
+// 8-bit-lane SIMD (SSSE3 maddubs; AVX2 implies SSSE3).  vec-packed
+// exists only where this holds: without it the kernel has no loop, is
+// never eligible and is never selected.
+#if defined(__SSSE3__) || defined(__AVX2__)
+#define CCQ_IGEMM_PACKED_SIMD 1
+#else
+#define CCQ_IGEMM_PACKED_SIMD 0
+#endif
+
 namespace ccq::igemm_detail {
+
+inline constexpr bool kPackedSimd = CCQ_IGEMM_PACKED_SIMD;
 
 /// Dot-layout row padding (elements): depth is rounded up to a lane
 /// multiple so the inner loops carry no scalar tail.  16 int16 lanes
@@ -85,28 +95,14 @@ void with_x(const IgemmOp& op, F&& f) {
   }
 }
 
-/// Workspace lease of `n` activation codes of type T (u8 / i16 / int32).
-template <typename T>
-auto lease_codes(Workspace& ws, std::size_t n) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    return ws.bytes(n);
-  } else if constexpr (std::is_same_v<T, std::int16_t>) {
-    return ws.shorts(n);
-  } else {
-    return ws.ints(n);
-  }
-}
-
-/// Execute a validated vec16 / vec-packed op (igemm_run has already
-/// checked panel/form/shape/eligibility).  Both repack the activation
-/// side into a Workspace-leased dot panel, then run the register-tiled
-/// dot loops parallel over output rows.
-void run_vec16(const IgemmOp& op, const ExecContext& ctx);
-void run_vec_packed(const IgemmOp& op, const ExecContext& ctx);
-
-/// True when this translation unit was compiled with 8-bit-lane SIMD
-/// (SSSE3 maddubs or AVX2) — the build-level gate behind
-/// `igemm_packed_simd`.
-bool packed_simd();
+/// Execute a validated vector-kernel op (igemm_run has already checked
+/// panel/form/shape/eligibility) over the panel's dot-layout weight rows
+/// `w`: vec16 is <int16, int16>, vec-packed <uint8, int8>.  The
+/// activation side is repacked into a Workspace-leased `TX` dot panel
+/// (or, for a conv op, gathered tile by tile), then the register-tiled
+/// dot loops run parallel over output rows.  Instantiated for vec16
+/// always and for vec-packed only where kPackedSimd holds.
+template <typename TX, typename TW>
+void run_vec(const IgemmOp& op, const TW* w, const ExecContext& ctx);
 
 }  // namespace ccq::igemm_detail

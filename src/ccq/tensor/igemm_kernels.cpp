@@ -22,9 +22,10 @@
 // so lane order / horizontal reduction order cannot change the bits.
 //
 // This translation unit is compiled with elevated optimisation (see
-// src/CMakeLists.txt) so the portable fallback loops vectorize; on x86
-// the SSE2 / SSSE3 / AVX2 intrinsic paths are selected by feature test
-// macros at compile time.
+// src/CMakeLists.txt) so vec16's portable fallback loop vectorizes; on
+// x86 the SSE2 / SSSE3 / AVX2 intrinsic paths are selected by feature
+// test macros at compile time.  vec-packed has no portable loop: it is
+// built only with SSSE3 or AVX2 (CCQ_IGEMM_PACKED_SIMD).
 #include "ccq/tensor/igemm_detail.hpp"
 
 #include <algorithm>
@@ -187,7 +188,8 @@ inline std::int32_t dot1(const std::int16_t* a, const std::int16_t* b,
 // Overloads on operand types: kWX iterates weight rows against four
 // activation rows (i8 shared, u8 tiled); kXW the reverse.  maddubs takes
 // (unsigned, signed) in that order, so each overload routes its vectors
-// accordingly.
+// accordingly.  SIMD only: without SSSE3 there is no 8-bit loop and
+// vec-packed is never eligible (igemm_kernel_eligible).
 
 #if defined(__AVX2__)
 
@@ -282,8 +284,6 @@ inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
   return dot1(w, x, kp);
 }
 
-constexpr bool kPackedSimd = true;
-
 #elif defined(__SSSE3__)
 
 inline __m128i madd_u8s8(__m128i xv, __m128i wv, __m128i ones) {
@@ -375,58 +375,6 @@ inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
                          std::size_t kp) {
   return dot1(w, x, kp);
 }
-
-constexpr bool kPackedSimd = true;
-
-#else  // portable 8-bit loops (exact: int32 math on widened operands)
-
-inline void dot4(const std::int8_t* w, const std::uint8_t* x0,
-                 const std::uint8_t* x1, const std::uint8_t* x2,
-                 const std::uint8_t* x3, std::size_t kp, std::int32_t out[4]) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::size_t p = 0; p < kp; ++p) {
-    const std::int32_t wv = w[p];
-    s0 += wv * x0[p];
-    s1 += wv * x1[p];
-    s2 += wv * x2[p];
-    s3 += wv * x3[p];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
-
-inline void dot4(const std::uint8_t* x, const std::int8_t* w0,
-                 const std::int8_t* w1, const std::int8_t* w2,
-                 const std::int8_t* w3, std::size_t kp, std::int32_t out[4]) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::size_t p = 0; p < kp; ++p) {
-    const std::int32_t xv = x[p];
-    s0 += xv * w0[p];
-    s1 += xv * w1[p];
-    s2 += xv * w2[p];
-    s3 += xv * w3[p];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
-
-inline std::int32_t dot1(const std::int8_t* w, const std::uint8_t* x,
-                         std::size_t kp) {
-  std::int32_t s = 0;
-  for (std::size_t p = 0; p < kp; ++p) s += std::int32_t{w[p]} * x[p];
-  return s;
-}
-
-inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
-                         std::size_t kp) {
-  return dot1(w, x, kp);
-}
-
-constexpr bool kPackedSimd = false;
 
 #endif
 
@@ -596,7 +544,7 @@ void run_conv(const IgemmOp& op, const TW* w, std::size_t kp,
   const std::size_t planes = op.conv->images * g.in_channels;
   const std::size_t plane = (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
   Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
-  auto padded = lease_codes<Dst>(ws, planes * plane);
+  Workspace::Lease<Dst> padded = ws.lease<Dst>(planes * plane);
   with_x(op, [&](const auto* x) {
     pad_planes<Dst>(x, g, planes, padded.data(), ctx);
   });
@@ -618,7 +566,7 @@ void run_conv(const IgemmOp& op, const TW* w, std::size_t kp,
   dispatch_epilogue(op, [&](const auto& epi) {
     parallel_for(ctx, items, (items + threads - 1) / threads,
                  [&](std::size_t i0, std::size_t i1) {
-      auto scratch = lease_codes<Dst>(ws, tile_w * kp);
+      Workspace::Lease<Dst> scratch = ws.lease<Dst>(tile_w * kp);
       Dst* tile = scratch.data();
       std::size_t obase[kIgemmMaxNc];
       std::size_t gathered = tiles;  // index of the tile in `scratch`
@@ -655,56 +603,32 @@ void run_conv(const IgemmOp& op, const TW* w, std::size_t kp,
 
 }  // namespace
 
-bool packed_simd() { return kPackedSimd; }
-
-void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
-  const IgemmPanel& panel = *op.panel;
-  const std::size_t kp = panel.stride;
+template <typename TX, typename TW>
+void run_vec(const IgemmOp& op, const TW* w, const ExecContext& ctx) {
+  const std::size_t kp = op.panel->stride;
   if (op.conv) {
-    run_conv<std::int16_t>(op, panel.i16.data(), kp, ctx);
+    run_conv<TX>(op, w, kp, ctx);
     return;
   }
   const std::size_t xrows = op.form == IgemmForm::kWX ? op.n : op.m;
   Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
-  Workspace::ShortLease xp = ws.shorts(xrows * kp);
-  with_x(op, [&](const auto* x) {
-    pack_x<std::int16_t>(x, op, kp, xp.data(), ctx);
-  });
+  Workspace::Lease<TX> xp = ws.lease<TX>(xrows * kp);
+  with_x(op, [&](const auto* x) { pack_x<TX>(x, op, kp, xp.data(), ctx); });
   const std::size_t grain = std::max<std::size_t>(op.blocking.row_grain, 1);
   dispatch_epilogue(op, [&](const auto& epi) {
     if (op.form == IgemmForm::kWX) {
-      dot_driver<true>(op.m, op.n, kp, panel.i16.data(), xp.data(), epi,
-                       grain, ctx);
+      dot_driver<true>(op.m, op.n, kp, w, xp.data(), epi, grain, ctx);
     } else {
-      dot_driver<false>(op.m, op.n, kp, xp.data(), panel.i16.data(), epi,
-                        grain, ctx);
+      dot_driver<false>(op.m, op.n, kp, xp.data(), w, epi, grain, ctx);
     }
   });
 }
 
-void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
-  const IgemmPanel& panel = *op.panel;
-  const std::size_t kp = panel.stride;
-  if (op.conv) {
-    run_conv<std::uint8_t>(op, panel.i8.data(), kp, ctx);
-    return;
-  }
-  const std::size_t xrows = op.form == IgemmForm::kWX ? op.n : op.m;
-  Workspace& ws = op.ws != nullptr ? *op.ws : Workspace::scratch();
-  Workspace::ByteLease xp = ws.bytes(xrows * kp);
-  with_x(op, [&](const auto* x) {
-    pack_x<std::uint8_t>(x, op, kp, xp.data(), ctx);
-  });
-  const std::size_t grain = std::max<std::size_t>(op.blocking.row_grain, 1);
-  dispatch_epilogue(op, [&](const auto& epi) {
-    if (op.form == IgemmForm::kWX) {
-      dot_driver<true>(op.m, op.n, kp, panel.i8.data(), xp.data(), epi,
-                       grain, ctx);
-    } else {
-      dot_driver<false>(op.m, op.n, kp, xp.data(), panel.i8.data(), epi,
-                        grain, ctx);
-    }
-  });
-}
+template void run_vec<std::int16_t>(const IgemmOp&, const std::int16_t*,
+                                    const ExecContext&);
+#if CCQ_IGEMM_PACKED_SIMD
+template void run_vec<std::uint8_t>(const IgemmOp&, const std::int8_t*,
+                                    const ExecContext&);
+#endif
 
 }  // namespace ccq::igemm_detail

@@ -267,7 +267,8 @@ TEST(IgemmAlignmentEdge, LanePaddingAndColumnTails) {
                         std::size_t{32}, std::size_t{33}, std::size_t{63}}) {
     for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
       // 3-bit codes with 255-bound activations: both vector kernels
-      // eligible, so all three variants run per config.
+      // eligible (vec-packed where the build has 8-bit SIMD), so every
+      // built variant runs per config.
       const Problem p = make_problem(rng, 5, n, k, /*max_w=*/8,
                                      /*max_x=*/255);
       expect_bit_identical(p, ctx_for(2), {});
@@ -362,9 +363,11 @@ TEST(IgemmRegistry, EligibilityRules) {
                                     IgemmAccum::kInt32));
   EXPECT_FALSE(igemm_kernel_eligible(K::kVec16, 40000, 255,
                                      IgemmAccum::kInt32));
-  // vec-packed: int8 weights, uint8 activations, no int16 pair saturation.
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVecPacked, 16, 255,
-                                    IgemmAccum::kInt32));
+  // vec-packed: 8-bit SIMD in this build, int8 weights, uint8
+  // activations, no int16 pair saturation.  Without 8-bit SIMD it has no
+  // loop and admits nothing.
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 16, 255, IgemmAccum::kInt32),
+            igemm_packed_simd());
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 128, 255,
                                      IgemmAccum::kInt32));  // w > int8
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 16, 256,
@@ -373,8 +376,8 @@ TEST(IgemmRegistry, EligibilityRules) {
   // though both lane types fit individually.
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 127, 255,
                                      IgemmAccum::kInt32));
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVecPacked, 64, 255,
-                                    IgemmAccum::kInt32));
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 64, 255, IgemmAccum::kInt32),
+            igemm_packed_simd());
   // kAuto is a policy, never directly executable.
   EXPECT_FALSE(igemm_kernel_eligible(K::kAuto, 8, 255, IgemmAccum::kInt32));
 }
@@ -396,11 +399,50 @@ TEST(IgemmRegistry, SelectionWalksTheDensityLadder) {
             K::kVec16);
   EXPECT_EQ(igemm_select_kernel(K::kScalar, 8, 255, IgemmAccum::kInt32),
             K::kScalar);
+  // ...an ineligible one falls down the same ladder as kAuto (so does
+  // vec-packed on a build without 8-bit SIMD).
   EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt32),
-            K::kVecPacked);
-  // ...an ineligible one falls down the same ladder as kAuto.
+            igemm_packed_simd() ? K::kVecPacked : K::kVec16);
   EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt64),
             K::kScalar);
+}
+
+TEST(IgemmRegistry, VecPackedExecutesOnlyWithPackedSimd) {
+  // A vec-packed panel still packs on every build (the layout is the
+  // kernel's), but without 8-bit SIMD igemm_run refuses it with the
+  // not-eligible error instead of running a loop dispatch never picks.
+  const std::vector<std::int32_t> w{1, -2, 3, 4, 0, -1};  // 2×3
+  const IgemmPanel panel =
+      igemm_pack(w, 2, 3, IgemmForm::kWX, IgemmKernel::kVecPacked);
+  const std::vector<std::uint8_t> x{1, 2, 3, 4, 5, 6};  // 3×2
+  const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
+  std::vector<float> c(4);
+  IgemmOp op;
+  op.form = IgemmForm::kWX;
+  op.m = 2;
+  op.n = 2;
+  op.k = 3;
+  op.panel = &panel;
+  op.x8 = x.data();
+  op.c = c.data();
+  op.epilogue = {scale.data(), bias.data()};
+  op.accum = IgemmAccum::kInt32;
+  op.x_bound = 255;
+  if (igemm_packed_simd()) {
+    igemm_run(op);
+    EXPECT_EQ(c, (std::vector<float>{10.0f, 12.0f, -1.0f, 2.0f}));
+  } else {
+    const std::string message = [&] {
+      try {
+        igemm_run(op);
+      } catch (const Error& e) {
+        return std::string(e.what());
+      }
+      return std::string();
+    }();
+    EXPECT_NE(message.find("'vec-packed' is not eligible"), std::string::npos)
+        << message;
+  }
 }
 
 TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
@@ -412,6 +454,13 @@ TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
   EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kScalar);
   setenv("CCQ_IGEMM_KERNEL", "vec16", 1);
   EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kVec16);
+  // A vec-packed override resolves like auto: down to vec16 where the
+  // build has no 8-bit SIMD.
+  setenv("CCQ_IGEMM_KERNEL", "vec-packed", 1);
+  EXPECT_EQ(igemm_select_kernel(igemm_requested_kernel(), 8, 255,
+                                IgemmAccum::kInt32),
+            igemm_packed_simd() ? IgemmKernel::kVecPacked
+                                : IgemmKernel::kVec16);
   setenv("CCQ_IGEMM_KERNEL", "hyperdrive", 1);
   EXPECT_THROW(igemm_requested_kernel(), Error);
   if (saved != nullptr) {
@@ -967,7 +1016,7 @@ TEST(IgemmConvOp, MatchesIm2colAndNaiveConvolution) {
               expect_conv_op_exact<std::int16_t>(g, images, 5, 100, 1000,
                                                  4095, rng, where);
             } else {
-              // 8-bit codes: every kernel, vec-packed included.
+              // 8-bit codes: every built kernel, vec-packed included.
               expect_conv_op_exact<std::uint8_t>(g, images, 5, 7, 255, 255,
                                                  rng, where);
             }

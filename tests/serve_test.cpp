@@ -330,6 +330,34 @@ std::string pool_record(std::uint64_t scale_count, std::uint64_t requant_count,
   return r.bytes;
 }
 
+/// A well-formed record for layer 'g' of `kind` — a 1→1-channel conv
+/// (one 1-bit weight code per tap, unit scale) or a max/avg pool — with
+/// the given window and stride, so only the geometry can be hostile.
+std::string geometry_record(hw::IntLayerPlan::Kind kind, std::uint64_t kernel,
+                            std::uint64_t stride) {
+  const bool conv = kind == hw::IntLayerPlan::Kind::kConv;
+  RawBytes r;
+  r.varint(1).pod('g');  // name
+  r.pod(static_cast<std::uint8_t>(kind));
+  r.pod(std::uint8_t{2}).pod(std::uint8_t{0}).pod(std::uint8_t{0});
+  r.pod(0.0f);  // act_clip
+  const std::uint64_t c = conv ? 1 : 0, p = 1 - c;
+  // in/out channels, kernel, stride, pad, in/out features, pool window
+  const std::uint64_t dims[] = {c, c, c * kernel, c * stride, 0,
+                                0, 0, p * kernel, p * stride};
+  for (std::uint64_t dim : dims) r.varint(dim);
+  const std::uint64_t codes = c * kernel * kernel;
+  r.varint(0).varint(1).pod(static_cast<std::uint8_t>(codes > 0 ? 1 : 0));
+  r.varint(codes).varint((codes + 7) / 8);
+  for (std::uint64_t b = 0; b < (codes + 7) / 8; ++b) r.pod(std::uint8_t{0});
+  r.varint(c);  // channel scales
+  if (conv) r.pod(1.0f);
+  r.varint(c);  // biases
+  if (conv) r.pod(0.0f);
+  r.pod(std::uint8_t{0});  // no requant record
+  return r.bytes;
+}
+
 /// Write a CCQA file whose header declares `declared_bytes` of payload
 /// (and carries the payload's true FNV-1a checksum).
 void write_hostile(const std::string& path, std::uint32_t version,
@@ -391,6 +419,32 @@ TEST(ArtifactTest, HostileDeclaredSizesFailTyped) {
        "declares 17179869184 codes at 0 bits"},
       {"64-bit codes", 1, one_rung(pool_record(0, 0, 1, 64)), false,
        "declares 1 codes at 64 bits"},
+      // Checksummed, well-formed records whose geometry the engine would
+      // divide by (conv stride, pool window) or pool over (pool kernel):
+      // caught at parse time, naming the layer, before any request.
+      {"stride-0 conv", 1,
+       one_rung(geometry_record(hw::IntLayerPlan::Kind::kConv, 1, 0)), false,
+       "(layer 'g'): conv kernel 1 with stride 0: both must be positive "
+       "(layer index 0, kind conv)"},
+      {"kernel-0 conv", 1,
+       one_rung(geometry_record(hw::IntLayerPlan::Kind::kConv, 0, 1)), false,
+       "(layer 'g'): conv kernel 0 with stride 1: both must be positive "
+       "(layer index 0, kind conv)"},
+      {"zero-kernel maxpool", 1,
+       one_rung(geometry_record(hw::IntLayerPlan::Kind::kMaxPool, 0, 2)),
+       false,
+       "(layer 'g'): pool kernel 0 with stride 2: both must be positive "
+       "(layer index 0, kind maxpool)"},
+      {"zero-kernel avgpool", 1,
+       one_rung(geometry_record(hw::IntLayerPlan::Kind::kAvgPool, 0, 2)),
+       false,
+       "(layer 'g'): pool kernel 0 with stride 2: both must be positive "
+       "(layer index 0, kind avgpool)"},
+      {"zero-stride avgpool", 1,
+       one_rung(geometry_record(hw::IntLayerPlan::Kind::kAvgPool, 2, 0)),
+       false,
+       "(layer 'g'): pool kernel 2 with stride 0: both must be positive "
+       "(layer index 0, kind avgpool)"},
   };
   const std::string path = temp_path("ccq_serve_hostile.ccqa");
   for (const Case& c : cases) {

@@ -97,7 +97,7 @@ TEST(WorkspacePoolTest, TensorHelpersRoundTripThroughPool) {
 TEST(WorkspacePoolTest, FloatLeaseReturnsOnScopeExit) {
   Workspace ws;
   {
-    Workspace::FloatLease lease = ws.floats(512);
+    Workspace::Lease<float> lease = ws.lease<float>(512);
     EXPECT_EQ(lease.size(), 512u);
     lease.data()[0] = 1.0f;
     EXPECT_EQ(ws.pooled_buffers(), 0u);
@@ -113,8 +113,8 @@ TEST(WorkspacePoolTest, IntegerLeasesPoolPerElementTypeAndReturn) {
   const void* short_ptr = nullptr;
   const void* byte_ptr = nullptr;
   {
-    Workspace::ShortLease s = ws.shorts(300);
-    Workspace::ByteLease b = ws.bytes(700);
+    Workspace::Lease<std::int16_t> s = ws.lease<std::int16_t>(300);
+    Workspace::Lease<std::uint8_t> b = ws.lease<std::uint8_t>(700);
     EXPECT_EQ(s.size(), 300u);
     EXPECT_EQ(b.size(), 700u);
     short_ptr = s.data();
@@ -124,8 +124,8 @@ TEST(WorkspacePoolTest, IntegerLeasesPoolPerElementTypeAndReturn) {
   EXPECT_EQ(ws.pooled_buffers(), 2u);
   {
     // Same buckets → the same buffers come back, warm.
-    Workspace::ShortLease s = ws.shorts(280);
-    Workspace::ByteLease b = ws.bytes(600);
+    Workspace::Lease<std::int16_t> s = ws.lease<std::int16_t>(280);
+    Workspace::Lease<std::uint8_t> b = ws.lease<std::uint8_t>(600);
     EXPECT_EQ(static_cast<const void*>(s.data()), short_ptr);
     EXPECT_EQ(static_cast<const void*>(b.data()), byte_ptr);
     EXPECT_EQ(ws.pooled_buffers(), 0u);
@@ -134,13 +134,41 @@ TEST(WorkspacePoolTest, IntegerLeasesPoolPerElementTypeAndReturn) {
   EXPECT_EQ(ws.pooled_buffers(), 0u);
 }
 
+TEST(WorkspacePoolTest, MoveAssignReturnsOverwrittenBufferToItsPool) {
+  // The engine's code store moves each new layer's codes over the old
+  // ones; the overwritten buffer must go back to its own element type's
+  // pool (and be counted there), not leak or cross types.
+  Workspace ws;
+  Workspace::Lease<std::int16_t> codes = ws.lease<std::int16_t>(300);
+  const void* old_ptr = codes.data();
+  Workspace::Lease<std::int16_t> next = ws.lease<std::int16_t>(40);
+  const void* next_ptr = next.data();
+  EXPECT_EQ(ws.pooled_buffers(), 0u);
+  codes = std::move(next);
+  EXPECT_EQ(codes.size(), 40u);
+  EXPECT_EQ(static_cast<const void*>(codes.data()), next_ptr);
+  EXPECT_EQ(ws.pooled_buffers(), 1u);
+  EXPECT_EQ(ws.pooled_bytes(), 512u * sizeof(std::int16_t));  // bucket 9
+  {
+    // A byte lease of the same bucket is not served the int16 buffer.
+    Workspace::Lease<std::uint8_t> b = ws.lease<std::uint8_t>(300);
+    EXPECT_NE(static_cast<const void*>(b.data()), old_ptr);
+    EXPECT_EQ(ws.pooled_buffers(), 1u);
+  }
+  EXPECT_EQ(ws.pooled_buffers(), 2u);
+  // An int16 lease of the same bucket is.
+  Workspace::Lease<std::int16_t> again = ws.lease<std::int16_t>(280);
+  EXPECT_EQ(static_cast<const void*>(again.data()), old_ptr);
+  EXPECT_EQ(ws.pooled_buffers(), 1u);
+}
+
 TEST(WorkspacePoolTest, IntegerPoolStorageIsCacheLineAligned) {
   // alloc.hpp over-aligns the integer pools to 64 bytes so SIMD kernels
   // get split-free loads from the buffer base.
   Workspace ws;
-  Workspace::IntLease i = ws.ints(17);
-  Workspace::ShortLease s = ws.shorts(17);
-  Workspace::ByteLease b = ws.bytes(17);
+  Workspace::Lease<std::int32_t> i = ws.lease<std::int32_t>(17);
+  Workspace::Lease<std::int16_t> s = ws.lease<std::int16_t>(17);
+  Workspace::Lease<std::uint8_t> b = ws.lease<std::uint8_t>(17);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(i.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u);
@@ -175,7 +203,7 @@ TEST(WorkspaceArenaTest, ParallelWorkersNeverShareBuffers) {
   for (int round = 0; round < 8; ++round) {
     parallel_for(ctx, 16, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t c = lo; c < hi; ++c) {
-        Workspace::FloatLease lease = ws.floats(1024);
+        Workspace::Lease<float> lease = ws.lease<float>(1024);
         const float stamp = static_cast<float>(c + 1);
         for (std::size_t i = 0; i < lease.size(); ++i) {
           lease.data()[i] = stamp;
