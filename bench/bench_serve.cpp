@@ -206,7 +206,9 @@ void BM_ServeOpenLoop(benchmark::State& state) {
   options.producers = 4;
   options.offered_rps = static_cast<double>(state.range(0));
 
-  harness.run(samples, {.producers = 4});  // warm (closed loop, no pacing)
+  // Warm (closed loop, no pacing).
+  harness.run(samples,
+              {.producers = 4, .ramp = {}, .on_swap = {}, .priorities = {}});
   const bool metrics_were_on = telemetry::metrics_enabled();
   telemetry::set_metrics_enabled(true);
   telemetry::reset_metrics();
@@ -314,8 +316,11 @@ void BM_ServeMixedPriority(benchmark::State& state) {
     options.priorities[i] = static_cast<serve::Priority>(i % 3);
   }
 
-  drive_heavy.run(samples, {.producers = 2});  // warm (closed loop)
-  drive_light.run(samples, {.producers = 2});
+  // Warm (closed loop).
+  drive_heavy.run(samples,
+                  {.producers = 2, .ramp = {}, .on_swap = {}, .priorities = {}});
+  drive_light.run(samples,
+                  {.producers = 2, .ramp = {}, .on_swap = {}, .priorities = {}});
   const bool metrics_were_on = telemetry::metrics_enabled();
   telemetry::set_metrics_enabled(true);
   telemetry::reset_metrics();
@@ -445,7 +450,9 @@ void BM_AdaptiveLoadRamp(benchmark::State& state) {
   options.producers = 4;
   options.ramp = {{2000.0, 64}, {64000.0, 128}, {2000.0, 64}};
 
-  harness.run(samples, {.producers = 4});  // warm (closed loop, no pacing)
+  // Warm (closed loop, no pacing).
+  harness.run(samples,
+              {.producers = 4, .ramp = {}, .on_swap = {}, .priorities = {}});
   const bool metrics_were_on = telemetry::metrics_enabled();
   telemetry::set_metrics_enabled(true);
   const int switch_counter = telemetry::find_named_metric(

@@ -107,7 +107,8 @@ int main() {
   smc.max_batch = 8;
   server.load("deploy", artifact_path, smc);
   serve::ServeHarness harness(server, "deploy");
-  const auto served = harness.run(x, {.producers = 2});
+  const auto served = harness.run(
+      x, {.producers = 2, .ramp = {}, .on_swap = {}, .priorities = {}});
   float max_diff = 0.0f;
   for (std::size_t i = 0; i < served.outputs.size(); ++i) {
     for (std::size_t c = 0; c < served.outputs[i].dim(0); ++c) {

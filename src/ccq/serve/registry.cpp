@@ -14,7 +14,8 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
     : name(std::move(name_in)),
       version(version_in),
       config(config_in),
-      net(std::move(net_in)) {
+      net(std::move(net_in)),
+      hold_ns(us_to_ns_saturating(config.max_delay_us)) {
   using telemetry::NamedKind;
   const std::string prefix = "serve." + name + ".";
   metrics.requests =
@@ -43,6 +44,7 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
   }
   metrics.p99_vs_slo =
       telemetry::named_metric(NamedKind::kGauge, prefix + "p99_vs_slo");
+  metrics.hold = telemetry::named_metric(NamedKind::kGauge, prefix + "hold_us");
   point = OperatingPointController(config.adaptive, net.rung_count(),
                                    metrics.latency, metrics.rung,
                                    metrics.rung_switches);

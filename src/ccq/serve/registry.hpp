@@ -53,7 +53,9 @@ class InferenceServer;
 /// of the worker pool, and every loaded model carries its own copy.
 struct ModelConfig {
   std::size_t max_batch = 8;          ///< flush when this many requests wait …
-  std::uint64_t max_delay_us = 1000;  ///< … or the oldest waited this long
+  /// … or the oldest waited the model's learned hold, which never
+  /// exceeds this bound (serve/sla.hpp `sla_next_hold_ns`).
+  std::uint64_t max_delay_us = 1000;
   std::size_t queue_capacity = 64;    ///< per-model admission bound
   /// Fair-share weight against the other models on the same server: the
   /// worker pool serves flushable models in proportion to their weights
@@ -140,6 +142,7 @@ struct LoadedModel {
     /// Timers: the latency series split by service class.
     std::array<int, kPriorityCount> latency_by_priority = {-1, -1, -1};
     int p99_vs_slo = -1;     ///< gauge: observed p99 / slo_us (when set)
+    int hold = -1;           ///< gauge: learned batching hold, us
   } metrics;
 
   // ---- queue state: guarded by the owning InferenceServer's mutex ----
@@ -153,6 +156,11 @@ struct LoadedModel {
   double vtime = 0.0;
   std::uint64_t admitted = 0;         ///< requests admitted, lifetime
   std::uint64_t deadline_misses = 0;  ///< requests expired at dequeue, lifetime
+  /// Learned batching hold (starts at config.max_delay_us, updated at
+  /// each flush by `sla_next_hold_ns`) and the newest admission
+  /// instant, whose distance to the flush judges the hold.
+  std::uint64_t hold_ns = 0;
+  std::uint64_t newest_ns = 0;
   /// Rung selector — decisions happen at batch-flush time under the
   /// owner's mutex, hence queue state.
   OperatingPointController point;

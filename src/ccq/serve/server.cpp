@@ -20,10 +20,11 @@ SchedView sched_view(const detail::LoadedModel& model, bool stopping) {
   view.queued = model.queue.size();
   if (view.queued > 0) {
     view.oldest_ns = model.queue.oldest_enqueue_ns();
+    view.newest_ns = model.newest_ns;
     view.earliest_deadline_ns = model.queue.earliest_deadline_ns();
   }
   view.max_batch = model.config.max_batch;
-  view.max_delay_ns = model.config.max_delay_us * 1000;
+  view.hold_ns = model.hold_ns;
   view.force = stopping || model.retired;
   view.vtime = model.vtime;
   return view;
@@ -204,6 +205,7 @@ std::future<void> InferenceServer::submit(const ModelHandle& model,
       // the idle period never turns into a catch-up burst.
       loaded.vtime = std::max(loaded.vtime, vclock_);
     }
+    loaded.newest_ns = std::max(loaded.newest_ns, request.enqueue_ns);
     loaded.queue.push(std::move(request));
     ++loaded.admitted;
     ++work_generation_;
@@ -269,7 +271,7 @@ void InferenceServer::worker_loop() {
             std::min(earliest, sla_next_event_ns(sched_view(*model, stopping_)));
       }
       // `earliest` is stale the moment queue state changes: a new submit
-      // to a model with a shorter max_delay_us (or a tighter deadline)
+      // to a model with a shorter hold (or a tighter deadline)
       // creates an earlier event, and re-parking until the old one would
       // violate that model's latency bound.  The generation bump makes
       // the predicate pass so the outer loop re-derives the event set.
@@ -313,6 +315,11 @@ void InferenceServer::worker_loop() {
       telemetry::add(telemetry::Counter::kServeDeadlineMiss, expired.size());
       telemetry::add_named(model.metrics.deadline_miss, expired.size());
     }
+    // Let the model learn from this flush how long its next partial
+    // batch holds, judged on what the sweep left queued.
+    model.hold_ns = sla_next_hold_ns(sched_view(model, stopping_), now);
+    telemetry::set_named_gauge(model.metrics.hold,
+                               static_cast<double>(model.hold_ns) / 1000.0);
 
     batch.clear();
     std::int32_t batch_rung = 0;

@@ -25,8 +25,11 @@
 //     dequeue time (typed `DeadlineExceededError`) instead of wasting a
 //     batch slot — serve/sla.hpp holds the policy primitives;
 //   * dynamic batching per model — a worker flushes a model's queue
-//     when `max_batch` requests wait or the oldest has waited
-//     `max_delay_us` (both per-model `ModelConfig` knobs).  Per-sample
+//     when `max_batch` requests wait or the oldest has waited the
+//     model's learned hold.  The hold starts at `max_delay_us` (both
+//     per-model `ModelConfig` knobs) and only shrinks: each flush
+//     halves it when the hold's second half saw no arrival
+//     (`sla_next_hold_ns`, serve/sla.hpp).  Per-sample
 //     outputs of the integer engine are independent of batch
 //     composition, so served results are bit-identical to a direct
 //     `IntegerNetwork::forward` regardless of coalescing;
@@ -219,9 +222,9 @@ class InferenceServer {
   /// Bumped (under mutex_) whenever queue state changes in a way that
   /// can move a flush deadline earlier — a submit, a retirement.  A
   /// worker parked on the earliest deadline it computed re-parks only
-  /// while the generation holds, so a new submission with a shorter
-  /// per-model max_delay_us forces a rescan instead of waiting out a
-  /// stale later deadline.
+  /// while the generation holds, so a new submission to a model with a
+  /// shorter hold forces a rescan instead of waiting out a stale later
+  /// deadline.
   std::uint64_t work_generation_ = 0;
   /// The fair scheduler's virtual clock: the vtime of the most recently
   /// picked model.  A model going idle→busy rejoins at this value, so

@@ -33,7 +33,15 @@
 //     `samples / weight` as it is served; the flushable model with the
 //     least virtual time flushes next, and a model going idle→busy
 //     rejoins at the scheduler's virtual clock so idle credit never
-//     turns into a burst.
+//     turns into a burst;
+//   * batching hold — a partial batch flushes once its oldest request
+//     has waited the model's learned hold, never more than
+//     `max_delay_us`.  `sla_next_hold_ns` halves the hold when a
+//     timed-out flush spent its second half with no arrival, so a
+//     closed-loop client stops paying for partners that never come
+//     (adaptive batching after Clipper, Crankshaw et al., NSDI 2017).
+//     The hold never grows back: under load batches still fill, because
+//     requests queue while the workers are busy.
 #pragma once
 
 #include <array>
@@ -82,6 +90,14 @@ class RequestShedError : public Error {
 inline constexpr std::uint64_t kNoEventNs =
     std::numeric_limits<std::uint64_t>::max();
 
+/// Microseconds → nanoseconds, saturating at u64 max instead of
+/// wrapping: an operator's or a client's huge budget means "effectively
+/// never", not a few hundred nanoseconds.
+inline std::uint64_t us_to_ns_saturating(std::uint64_t us) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  return us > kMax / 1000 ? kMax : us * 1000;
+}
+
 /// Absolute expiry instant for a relative `deadline_us` budget admitted
 /// at `now_ns`.  0 = no deadline.  Saturating in both the us→ns scale
 /// and the addition, so a hostile u64-max budget admits as "effectively
@@ -90,8 +106,7 @@ inline std::uint64_t deadline_instant_ns(std::uint64_t now_ns,
                                          std::uint64_t deadline_us) {
   if (deadline_us == 0) return 0;
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  if (deadline_us > kMax / 1000) return kMax;
-  const std::uint64_t budget_ns = deadline_us * 1000;
+  const std::uint64_t budget_ns = us_to_ns_saturating(deadline_us);
   return budget_ns > kMax - now_ns ? kMax : now_ns + budget_ns;
 }
 
@@ -214,24 +229,49 @@ class SlaQueue {
 struct SchedView {
   std::size_t queued = 0;
   std::uint64_t oldest_ns = 0;               ///< oldest admission instant
+  std::uint64_t newest_ns = 0;               ///< newest admission instant
   std::uint64_t earliest_deadline_ns = kNoEventNs;
   std::size_t max_batch = 1;
-  std::uint64_t max_delay_ns = 0;
+  std::uint64_t hold_ns = 0;  ///< learned batching hold (≤ max_delay)
   bool force = false;  ///< stopping / retired: flush immediately
   double vtime = 0.0;  ///< virtual time accrued (served / weight)
 };
 
 /// A model flushes when the batch is full, the oldest request aged past
-/// max_delay, any queued deadline expired (so the drop reply is prompt),
-/// or draining is forced (stop / retirement).
+/// the model's learned hold, any queued deadline expired (so the drop
+/// reply is prompt), or draining is forced (stop / retirement).
 inline bool sla_flushable(const SchedView& m, std::uint64_t now_ns) {
   if (m.queued == 0) return false;
   if (m.force || m.queued >= m.max_batch) return true;
-  if (now_ns >= m.oldest_ns && now_ns - m.oldest_ns >= m.max_delay_ns) {
+  if (now_ns >= m.oldest_ns && now_ns - m.oldest_ns >= m.hold_ns) {
     return true;
   }
   return m.earliest_deadline_ns != kNoEventNs &&
          now_ns >= m.earliest_deadline_ns;
+}
+
+/// The hold after a flush at `now_ns`, where `m` is the flushed model's
+/// queue after the expiry sweep (so expired requests do not count).  A
+/// flush is judged by its tail, the time from the newest arrival to the
+/// flush:
+///   * the hold timed out with a tail of at least half the hold — the
+///     second half waited for arrivals that never came, so halve it
+///     (below 1 us it becomes 0);
+///   * anything else (forced, deadline-driven, a batch that filled
+///     first, or a timeout that arrivals kept joining) leaves it as is.
+/// A fresh model starts at `max_delay_us`, so it batches exactly as a
+/// fixed hold would until its traffic shows the hold is not paying.
+/// Nothing grows the hold: it cannot raise throughput, since a busy
+/// worker's backlog already fills batches under load, and it adds wait.
+inline std::uint64_t sla_next_hold_ns(const SchedView& m,
+                                      std::uint64_t now_ns) {
+  if (m.queued == 0 || m.force) return m.hold_ns;
+  const bool timed_out =
+      now_ns >= m.oldest_ns && now_ns - m.oldest_ns >= m.hold_ns;
+  const std::uint64_t tail = now_ns >= m.newest_ns ? now_ns - m.newest_ns : 0;
+  if (!timed_out || tail < m.hold_ns / 2) return m.hold_ns;
+  const std::uint64_t halved = m.hold_ns / 2;
+  return halved < 1000 ? 0 : halved;
 }
 
 /// Next instant this model could become flushable without new arrivals
@@ -240,9 +280,8 @@ inline std::uint64_t sla_next_event_ns(const SchedView& m) {
   if (m.queued == 0) return kNoEventNs;
   if (m.force || m.queued >= m.max_batch) return 0;  // due now
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t fill = m.max_delay_ns > kMax - m.oldest_ns
-                                 ? kMax
-                                 : m.oldest_ns + m.max_delay_ns;
+  const std::uint64_t fill =
+      m.hold_ns > kMax - m.oldest_ns ? kMax : m.oldest_ns + m.hold_ns;
   return std::min(fill, m.earliest_deadline_ns);
 }
 

@@ -312,9 +312,15 @@ TEST(WireSlaFieldTest, TagsRoundTripInEveryCombination) {
         EXPECT_EQ(decoded.has_point, with_point);
         EXPECT_EQ(decoded.has_priority, with_priority);
         EXPECT_EQ(decoded.has_deadline, with_deadline);
-        if (with_point) EXPECT_EQ(decoded.point, -1);
-        if (with_priority) EXPECT_EQ(decoded.priority, 2);
-        if (with_deadline) EXPECT_EQ(decoded.deadline_us, 1500u);
+        if (with_point) {
+          EXPECT_EQ(decoded.point, -1);
+        }
+        if (with_priority) {
+          EXPECT_EQ(decoded.priority, 2);
+        }
+        if (with_deadline) {
+          EXPECT_EQ(decoded.deadline_us, 1500u);
+        }
       }
     }
   }
@@ -514,7 +520,8 @@ TEST(TcpServeTest, HarnessTcpModeMatchesDirectForward) {
   TcpServer front(server, 0);
 
   ServeHarness harness("127.0.0.1", front.port(), "bench");
-  const HarnessReport report = harness.run(x, {.producers = 3});
+  const HarnessReport report = harness.run(
+      x, {.producers = 3, .ramp = {}, .on_swap = {}, .priorities = {}});
   EXPECT_EQ(report.requests, x.dim(0));
   ASSERT_EQ(report.outputs.size(), x.dim(0));
   EXPECT_EQ(report.latency_ns.size(), x.dim(0));  // TCP mode is exact

@@ -5,22 +5,31 @@
 //
 //   1. SlaQueue / deadline-arithmetic unit tests: shed order (lowest
 //      class first, FIFO within a class), dequeue order (highest class
-//      first), the expiry sweep, and the saturating relative→absolute
-//      deadline conversion for hostile budgets.
+//      first), the expiry sweep, the saturating relative→absolute
+//      deadline conversion for hostile budgets, and each case of the
+//      hold rule (`sla_next_hold_ns`).
 //   2. A thread-free scheduler simulator over the *same* primitives the
 //      server's worker loop uses (`SchedView`, `sla_flushable`,
-//      `sla_next_event_ns`, `sla_prefer`, `SlaQueue`) driven on a
+//      `sla_next_event_ns`, `sla_next_hold_ns`, `sla_prefer`,
+//      `SlaQueue`) driven on a
 //      virtual clock: fair-share convergence for 1:1 and 1:4 weights
 //      under saturating two-model load, starvation freedom of a quiet
 //      model, and the combined mixed-priority acceptance scenario — no
 //      high-priority request shed while lower-priority work is queued,
 //      expired requests never occupy a batch slot, served shares within
-//      10% of the configured weights.
+//      10% of the configured weights.  The same simulator applies the
+//      learned batching hold (`sla_next_hold_ns`) at every flush and pins
+//      it: a fresh model holds the full max_delay, a closed pair
+//      population drives the hold down to the pair spacing, Poisson
+//      overload fills batches at hold 0, hold 0 lasts when traffic
+//      turns moderate, expired requests do not judge the hold, and no
+//      request waits past max_delay.
 //   3. InferenceServer integration under an injected virtual clock
 //      (`ServeConfig::now_fn`, one worker): shed-lowest-first through
 //      real submit futures, deadline expiry at dequeue (never at
-//      admission), u64-max deadline saturation, plus the harness
-//      offered/admitted accounting regression.
+//      admission), u64-max deadline and max_delay saturation, the first
+//      hold and the `hold_us` gauge, plus the harness offered/admitted
+//      accounting regression.
 //
 // Labelled `sla` and run under the TSan quick tier and both CI legs.
 #include <gtest/gtest.h>
@@ -31,10 +40,12 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ccq/common/telemetry.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/harness.hpp"
 
@@ -129,6 +140,73 @@ TEST(DeadlineInstantTest, SaturatesHostileBudgets) {
   EXPECT_FALSE(deadline_expired(101, 100));
 }
 
+TEST(DeadlineInstantTest, MicrosToNanosSaturates) {
+  EXPECT_EQ(us_to_ns_saturating(0), 0u);
+  EXPECT_EQ(us_to_ns_saturating(200), 200'000u);
+  EXPECT_EQ(us_to_ns_saturating(kU64Max / 1000), kU64Max / 1000 * 1000);
+  // One past the last exact value would wrap to 384 ns.
+  EXPECT_EQ(us_to_ns_saturating(kU64Max / 1000 + 1), kU64Max);
+  EXPECT_EQ(us_to_ns_saturating(kU64Max), kU64Max);
+}
+
+/// A one-model view for the hold rule: `queued` requests admitted
+/// between `oldest_ns` and `newest_ns`, holding `hold_ns`.
+SchedView hold_view(std::size_t queued, std::uint64_t oldest_ns,
+                    std::uint64_t newest_ns, std::uint64_t hold_ns) {
+  SchedView v;
+  v.queued = queued;
+  v.oldest_ns = oldest_ns;
+  v.newest_ns = newest_ns;
+  v.max_batch = 8;
+  v.hold_ns = hold_ns;
+  return v;
+}
+
+TEST(HoldRuleTest, IdleTailHalvesTheHoldAndSubMicrosecondIsZero) {
+  constexpr std::uint64_t kCap = 200'000;
+  // Timed out with the newest arrival at the start: the whole hold idle.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(1, 0, 0, kCap), kCap), 100'000u);
+  // A tail of exactly half the hold still halves it.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(2, 0, 100'000, kCap), kCap), 100'000u);
+  // Halving below 1 us snaps to 0, and 0 stays 0.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(1, 0, 0, 2'000), 2'000), 1'000u);
+  EXPECT_EQ(sla_next_hold_ns(hold_view(1, 0, 0, 1'999), 1'999), 0u);
+  EXPECT_EQ(sla_next_hold_ns(hold_view(1, 0, 0, 0), 0), 0u);
+}
+
+TEST(HoldRuleTest, LateArrivalKeepsTheHold) {
+  constexpr std::uint64_t kCap = 200'000;
+  // Timed out, but an arrival joined in the hold's second half.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(3, 0, 100'001, kCap), kCap), kCap);
+}
+
+TEST(HoldRuleTest, FullBatchNeverGrowsTheHold) {
+  constexpr std::uint64_t kCap = 200'000;
+  // Filled before the hold ran out: nothing learned.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(8, 0, 10, kCap), 10), kCap);
+  EXPECT_EQ(sla_next_hold_ns(hold_view(8, 0, 10, 25'000), 10), 25'000u);
+  // Found full by a worker that was busy past the hold: judged like any
+  // timeout, on its tail.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(8, 0, 490'000, 25'000), 500'000),
+            25'000u);
+  EXPECT_EQ(sla_next_hold_ns(hold_view(8, 0, 0, 25'000), 500'000), 12'500u);
+  EXPECT_EQ(sla_next_hold_ns(hold_view(8, 0, 0, 0), 500'000), 0u);
+}
+
+TEST(HoldRuleTest, ForcedAndDeadlineFlushesKeepTheHold) {
+  constexpr std::uint64_t kCap = 200'000;
+  SchedView forced = hold_view(1, 0, 0, kCap);
+  forced.force = true;
+  EXPECT_EQ(sla_next_hold_ns(forced, 10 * kCap), kCap);
+  // Flushable only because a queued deadline passed, not on age.
+  SchedView deadline = hold_view(1, 0, 0, kCap);
+  deadline.earliest_deadline_ns = 1'000;
+  ASSERT_TRUE(sla_flushable(deadline, 1'000));
+  EXPECT_EQ(sla_next_hold_ns(deadline, 1'000), kCap);
+  // The expiry sweep emptied the queue: nothing to judge.
+  EXPECT_EQ(sla_next_hold_ns(hold_view(0, 0, 0, kCap), 10 * kCap), kCap);
+}
+
 TEST(PriorityTest, NamesRoundTrip) {
   for (const Priority p :
        {Priority::kLow, Priority::kNormal, Priority::kHigh}) {
@@ -147,11 +225,17 @@ struct SimModel {
   std::size_t capacity = 16;
   std::size_t max_batch = 4;
   std::uint64_t max_delay_ns = 1'000'000;
+  /// Learned hold; u64 max clamps to max_delay_ns, so a fresh model
+  /// starts at the cap exactly as the server's LoadedModel does.
+  std::uint64_t hold_ns = kNoEventNs;
+  std::uint64_t newest_ns = 0;
   double vtime = 0.0;
   std::size_t served = 0;
   std::vector<SimRequest> shed;
   std::vector<SimRequest> expired;
   std::vector<std::uint64_t> latency_ns;  // virtual enqueue→serve
+  std::vector<std::size_t> batches;       // size of every flush
+  std::vector<std::uint64_t> holds;       // hold learned at every flush
 };
 
 /// The scheduler under test: admission + pick + flush, all on a virtual
@@ -162,16 +246,18 @@ struct SimScheduler {
   std::uint64_t now = 0;
   double vclock = 0.0;
   std::uint64_t batch_cost_ns = 1'000;  ///< virtual service time per flush
+  std::uint64_t sample_cost_ns = 0;     ///< … plus this per batched sample
 
   static SchedView view(const SimModel& m) {
     SchedView v;
     v.queued = m.queue.size();
     if (v.queued > 0) {
       v.oldest_ns = m.queue.oldest_enqueue_ns();
+      v.newest_ns = m.newest_ns;
       v.earliest_deadline_ns = m.queue.earliest_deadline_ns();
     }
     v.max_batch = m.max_batch;
-    v.max_delay_ns = m.max_delay_ns;
+    v.hold_ns = std::min(m.hold_ns, m.max_delay_ns);
     v.vtime = m.vtime;
     return v;
   }
@@ -188,6 +274,7 @@ struct SimScheduler {
       }
     }
     if (m.queue.empty()) m.vtime = std::max(m.vtime, vclock);
+    m.newest_ns = std::max(m.newest_ns, now);
     m.queue.push(std::move(r));
     return true;
   }
@@ -213,6 +300,8 @@ struct SimScheduler {
         target->queue.expire(now, [&](SimRequest&& r) {
           target->expired.push_back(std::move(r));
         });
+        target->hold_ns = sla_next_hold_ns(view(*target), now);
+        target->holds.push_back(target->hold_ns);
         std::size_t take = 0;
         while (take < target->max_batch && !target->queue.empty()) {
           SimRequest r = target->queue.pop_front();
@@ -224,7 +313,8 @@ struct SimScheduler {
         }
         target->vtime += static_cast<double>(take) / target->weight;
         target->served += take;
-        now += batch_cost_ns;
+        target->batches.push_back(take);
+        now += batch_cost_ns + take * sample_cost_ns;
         return target;
       }
       // Nothing due: park until the earliest flush/deadline event —
@@ -236,6 +326,31 @@ struct SimScheduler {
       if (earliest == kNoEventNs) return nullptr;  // all queues empty
       now = std::max(now, earliest);
     }
+  }
+
+  /// Run every flush that starts by `t` (the worker's turns between two
+  /// arrivals), then bring the clock to `t` if it is not already past it.
+  /// The clock stays past `t` while a flush that started earlier runs.
+  void run_until(std::uint64_t t) {
+    for (;;) {
+      std::uint64_t earliest = kNoEventNs;
+      for (SimModel* m : models) {
+        earliest = std::min(earliest, sla_next_event_ns(view(*m)));
+      }
+      if (std::max(earliest, now) > t) break;
+      step();
+    }
+    now = std::max(now, t);
+  }
+
+  /// Admit an arrival at `t` ≤ now: one that came while the flush
+  /// ending at `now` ran keeps its own admission instant.
+  bool admit_at(SimModel& m, SimRequest r, std::uint64_t t) {
+    const std::uint64_t busy_until = now;
+    now = t;
+    const bool admitted = admit(m, std::move(r));
+    now = busy_until;
+    return admitted;
   }
 };
 
@@ -378,6 +493,237 @@ TEST(FairShareTest, MixedPriorityAcceptanceScenario) {
     }
   }
   expect_share_within(a, b, 4.0, 0.10);
+}
+
+// ---- tier 2b: the learned batching hold ------------------------------------
+
+/// Exponential inter-arrival gaps (a Poisson stream) by inverse CDF over
+/// the fully specified mt19937_64, so every platform replays the same
+/// arrivals.
+struct PoissonArrivals {
+  std::mt19937_64 rng;
+  double mean_ns = 0.0;
+
+  std::uint64_t next_gap() {
+    const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;  // [0,1)
+    return static_cast<std::uint64_t>(-mean_ns * std::log1p(-u));
+  }
+};
+
+/// A closed pair population: two requests `spacing_ns` apart, then
+/// silence until both are served, repeated until `m` has flushed
+/// `flushes` times.
+void run_closed_pairs(SimScheduler& sched, SimModel& m,
+                      std::uint64_t spacing_ns, std::size_t flushes,
+                      int& next_id) {
+  while (m.batches.size() < flushes) {
+    ASSERT_TRUE(sched.admit(m, req(next_id++, Priority::kNormal)));
+    sched.run_until(sched.now + spacing_ns);
+    ASSERT_TRUE(sched.admit(m, req(next_id++, Priority::kNormal)));
+    while (!m.queue.empty()) ASSERT_NE(sched.step(), nullptr);
+  }
+}
+
+SimModel hold_model() {
+  SimModel m;
+  m.max_batch = 8;
+  m.max_delay_ns = 200'000;
+  m.capacity = 64;
+  return m;
+}
+
+TEST(LearnedHoldTest, FreshModelHoldsTheFullMaxDelayFirst) {
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  ASSERT_TRUE(sched.admit(m, req(0, Priority::kNormal)));
+  ASSERT_EQ(sched.step(), &m);
+  EXPECT_EQ(m.latency_ns, std::vector<std::uint64_t>{200'000});
+  // The whole hold passed with no arrival: the next one is half as long.
+  EXPECT_EQ(m.holds, std::vector<std::uint64_t>{100'000});
+}
+
+TEST(LearnedHoldTest, ClosedPairDrivesTheHoldToThePairSpacing) {
+  // Two closed-loop clients whose requests land 3 us apart: no third
+  // request ever comes, so holding beyond the pair only adds latency.
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  sched.batch_cost_ns = 30'000;
+  constexpr std::uint64_t kSpacing = 3'000;
+  int id = 0;
+  run_closed_pairs(sched, m, kSpacing, 16, id);
+  ASSERT_GE(m.holds.size(), 16u);
+  EXPECT_LE(m.holds[15], 2 * kSpacing);
+  // The learned hold still spans the spacing, so the pair still batches.
+  EXPECT_EQ(m.batches.back(), 2u);
+}
+
+/// A batch cost shaped like the fused 2-bit engine in BENCH_engine.json
+/// (27.5 us for one sample, 172.7 us for eight): batching amortises
+/// only the fixed part, so a worker serves at most 46.4k samples/s.
+void engine_cost(SimScheduler& sched) {
+  sched.batch_cost_ns = 6'800;
+  sched.sample_cost_ns = 20'700;
+}
+
+/// Lone requests, each served before the next arrives, until the hold
+/// has halved down to 0 (eight halvings from 200 us).
+void run_lone_requests_to_zero_hold(SimScheduler& sched, SimModel& m,
+                                    int& next_id) {
+  for (int k = 0; k < 16 && m.hold_ns != 0; ++k) {
+    ASSERT_TRUE(sched.admit(m, req(next_id++, Priority::kNormal)));
+    ASSERT_EQ(sched.step(), &m);
+  }
+  ASSERT_EQ(m.hold_ns, 0u);
+}
+
+/// `n` Poisson arrivals at `mean_gap_ns` from the scheduler's clock on,
+/// each admitted at its own instant.  Returns how many the full queue
+/// rejected.
+std::size_t offer_poisson(SimScheduler& sched, SimModel& m,
+                          std::uint64_t seed, double mean_gap_ns, int n,
+                          int& next_id) {
+  PoissonArrivals arrivals{std::mt19937_64(seed), mean_gap_ns};
+  std::uint64_t t = sched.now;
+  std::size_t rejected = 0;
+  for (int k = 0; k < n; ++k) {
+    t += arrivals.next_gap();
+    sched.run_until(t);
+    rejected +=
+        sched.admit_at(m, req(next_id++, Priority::kNormal), t) ? 0 : 1;
+  }
+  return rejected;
+}
+
+TEST(LearnedHoldTest, PoissonOverloadFillsBatchesAtHoldZero) {
+  // Lone requests teach hold 0; then arrivals at a 15 us mean (66.7k/s)
+  // exceed what the worker serves even in full batches.  With no hold
+  // at all the backlog fills every batch, and full batches pay on this
+  // cost: the worker serves at its full-batch rate, well above the
+  // 36.4k/s it could carry one sample at a time.
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  engine_cost(sched);
+  int id = 0;
+  run_lone_requests_to_zero_hold(sched, m, id);
+  const std::size_t served_before = m.served;
+  const std::uint64_t start = sched.now;
+  EXPECT_GT(offer_poisson(sched, m, 7, 15'000.0, 40'000, id), 0u);
+  EXPECT_EQ(m.hold_ns, 0u);
+  ASSERT_GE(m.batches.size(), 2'000u);
+  std::size_t full = 0;
+  for (std::size_t i = m.batches.size() - 1'000; i < m.batches.size(); ++i) {
+    full += m.batches[i] == m.max_batch ? 1 : 0;
+  }
+  EXPECT_EQ(full, 1'000u);
+  const double served_per_s = static_cast<double>(m.served - served_before) /
+                              (static_cast<double>(sched.now - start) * 1e-9);
+  const double full_batch_per_s =
+      static_cast<double>(m.max_batch) /
+      (static_cast<double>(sched.batch_cost_ns +
+                           m.max_batch * sched.sample_cost_ns) *
+       1e-9);
+  EXPECT_GT(served_per_s, 0.98 * full_batch_per_s);
+  EXPECT_LE(served_per_s, full_batch_per_s);
+}
+
+TEST(LearnedHoldTest, HoldZeroLastsWhenTrafficTurnsModerate) {
+  // Sparse lone requests teach hold 0.  Traffic then turns moderate:
+  // Poisson arrivals at a 40 us mean, inside the old hold but below
+  // what the worker serves even one at a time.  No hold is left for an
+  // arrival to join, so the rule has nothing to learn from and the hold
+  // stays 0 (a reload restarts it at max_delay).  Requests wait only
+  // for a busy worker, and that backlog is the only batching left.
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  engine_cost(sched);
+  int id = 0;
+  run_lone_requests_to_zero_hold(sched, m, id);
+  const std::size_t first = m.batches.size();
+  const std::size_t first_latency = m.latency_ns.size();
+  EXPECT_EQ(offer_poisson(sched, m, 13, 40'000.0, 5'000, id), 0u);
+  while (!m.queue.empty()) ASSERT_NE(sched.step(), nullptr);
+  for (std::size_t i = first; i < m.holds.size(); ++i) {
+    EXPECT_EQ(m.holds[i], 0u);
+  }
+  // Nobody waits longer than one full batch runs.
+  const std::uint64_t full_batch_ns =
+      sched.batch_cost_ns + m.max_batch * sched.sample_cost_ns;
+  for (std::size_t i = first_latency; i < m.latency_ns.size(); ++i) {
+    EXPECT_LE(m.latency_ns[i], full_batch_ns);
+  }
+  // The backlog still batches some, but far from the full batches a
+  // 200 us hold would gather at this rate (five arrivals per hold).
+  const double mean_batch =
+      static_cast<double>(m.served - first) /
+      static_cast<double>(m.batches.size() - first);
+  EXPECT_GT(mean_batch, 1.0);
+  EXPECT_LT(mean_batch, 2.0);
+}
+
+TEST(LearnedHoldTest, ExpiredRequestsDoNotJudgeTheHold) {
+  // Seven requests with a 50 us budget at t = 0 and one without a
+  // budget at 150 us; a worker busy elsewhere comes back at 300 us.
+  // Before the sweep the queue is full and its oldest request aged past
+  // the 200 us hold with a 150 us tail.  The sweep drops the seven
+  // first, and the survivor has waited only 150 us: the hold stays.
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  int id = 0;
+  for (; id < 7; ++id) {
+    ASSERT_TRUE(sched.admit(m, req(id, Priority::kNormal, 0, 50'000)));
+  }
+  sched.now = 150'000;
+  ASSERT_TRUE(sched.admit(m, req(id++, Priority::kNormal)));
+  sched.now = 300'000;
+  ASSERT_EQ(sched.step(), &m);
+  EXPECT_EQ(m.expired.size(), 7u);
+  EXPECT_EQ(m.batches, std::vector<std::size_t>{1});
+  EXPECT_EQ(m.holds, std::vector<std::uint64_t>{200'000});
+}
+
+TEST(LearnedHoldTest, NoRequestWaitsLongerThanMaxDelay) {
+  SimModel m = hold_model();
+  SimScheduler sched;
+  sched.models = {&m};
+  sched.batch_cost_ns = 0;  // an always-free worker: every wait is a hold
+  // Spells of sparse singles, of bursts that fill a batch at once, and
+  // of rates and burst sizes in between.
+  struct Spell {
+    double mean_gap_ns;
+    int burst;
+  };
+  constexpr Spell kSpells[] = {
+      {500'000.0, 1}, {20'000.0, 8}, {40'000.0, 1}, {150'000.0, 3}};
+  PoissonArrivals arrivals{std::mt19937_64(11), 0.0};
+  std::uint64_t t = 0;
+  int id = 0;
+  for (int spell = 0; spell < 40; ++spell) {
+    arrivals.mean_ns = kSpells[spell % 4].mean_gap_ns;
+    for (int k = 0; k < 20; ++k) {
+      t += arrivals.next_gap();
+      sched.run_until(t);
+      for (int b = 0; b < kSpells[spell % 4].burst; ++b) {
+        ASSERT_TRUE(sched.admit(m, req(id++, Priority::kNormal)));
+      }
+    }
+  }
+  while (!m.queue.empty()) ASSERT_NE(sched.step(), nullptr);
+  ASSERT_EQ(m.latency_ns.size(), static_cast<std::size_t>(id));
+  for (const std::uint64_t latency : m.latency_ns) {
+    EXPECT_LE(latency, m.max_delay_ns);
+  }
+  // The hold only ever shrank from the cap, down to 0.
+  ASSERT_FALSE(m.holds.empty());
+  EXPECT_LE(m.holds.front(), m.max_delay_ns);
+  for (std::size_t i = 1; i < m.holds.size(); ++i) {
+    EXPECT_LE(m.holds[i], m.holds[i - 1]);
+  }
+  EXPECT_EQ(m.holds.back(), 0u);
 }
 
 // ---- tier 3: server integration under an injected clock --------------------
@@ -565,6 +911,67 @@ TEST(ServeSlaTest, MaxDeadlineSaturatesInsteadOfWrapping) {
   vs.server.shutdown();
 }
 
+TEST(ServeSlaTest, MaxDelaySaturatesInsteadOfWrapping) {
+  VirtualClockServer vs;
+  ModelConfig mc;
+  mc.max_batch = 8;
+  // Scaled by 1000 without saturating, this wraps to a 384 ns hold.
+  mc.max_delay_us = 18'446'744'073'709'552ull;
+  const ModelHandle handle = vs.server.load("m", make_network(), mc);
+  ModelConfig poke_mc;
+  poke_mc.max_batch = 1;  // flushes on submit: a worker scan on demand
+  const ModelHandle poke = vs.server.load("poke", make_network(), poke_mc);
+
+  const Tensor sample = make_inputs(1).reshaped({3, 8, 8});
+  Tensor out, poke_out;
+  std::future<void> reply = vs.server.submit(handle, sample, out);
+  vs.now += 1'000'000;  // 1 ms ≫ 384 ns
+  // The worker scans every model when it picks the poke.  A flushable
+  // `m` (older, at equal virtual time) would be picked first, so its
+  // reply would be ready by the time the poke's is.
+  vs.server.submit(poke, sample, poke_out).get();
+  EXPECT_EQ(reply.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  vs.server.shutdown();  // the forced flush still serves it
+  EXPECT_NO_THROW(reply.get());
+  EXPECT_EQ(out.dim(0), 5u);
+}
+
+TEST(ServeSlaTest, FreshModelHoldsMaxDelayThenExportsTheLearnedHold) {
+  const bool metrics_were = telemetry::metrics_enabled();
+  telemetry::set_metrics_enabled(true);
+  VirtualClockServer vs;
+  ModelConfig mc;
+  mc.max_batch = 8;
+  mc.max_delay_us = 200;
+  const ModelHandle handle = vs.server.load("fresh-hold", make_network(), mc);
+  ModelConfig poke_mc;
+  poke_mc.max_batch = 1;
+  const ModelHandle poke = vs.server.load("poke", make_network(), poke_mc);
+
+  const Tensor sample = make_inputs(1).reshaped({3, 8, 8});
+  Tensor out, poke_out;
+  std::future<void> reply = vs.server.submit(handle, sample, out);
+  // 1 ns short of max_delay_us: not yet flushable.  Each poke makes the
+  // worker scan; the held model has the lower virtual time, so were it
+  // flushable it would be served before the poke.
+  vs.now += 199'999;
+  vs.server.submit(poke, sample, poke_out).get();
+  EXPECT_EQ(reply.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  vs.now += 1;
+  vs.server.submit(poke, sample, poke_out).get();
+  EXPECT_EQ(reply.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  // The whole hold passed with no arrival: the gauge shows it halved.
+  const int hold = telemetry::find_named_metric(
+      telemetry::NamedKind::kGauge, "serve.fresh-hold.hold_us");
+  ASSERT_GE(hold, 0);
+  EXPECT_EQ(telemetry::named_gauge_value(hold), 100.0);
+  vs.server.shutdown();
+  telemetry::set_metrics_enabled(metrics_were);
+}
+
 TEST(ServeSlaTest, WeightMustBePositiveAndFinite) {
   InferenceServer server;
   for (const double weight : {0.0, -1.0, std::nan("")}) {
@@ -594,7 +1001,7 @@ TEST(ServeSlaTest, DeadlineMissRateTriggersControllerDegrade) {
 // ---- harness accounting regression (satellite fix) -------------------------
 
 TEST(HarnessAccountingTest, OfferedCountsEveryAttemptClosedLoop) {
-  InferenceServer server(ServeConfig{.workers = 2});
+  InferenceServer server(ServeConfig{.workers = 2, .now_fn = {}});
   ModelConfig mc;
   mc.max_batch = 4;
   mc.max_delay_us = 50;
@@ -602,7 +1009,8 @@ TEST(HarnessAccountingTest, OfferedCountsEveryAttemptClosedLoop) {
   server.load("m", make_network(), mc);
   ServeHarness harness(server, "m");
   const Tensor x = make_inputs(32);
-  const HarnessReport report = harness.run(x, {.producers = 4});
+  const HarnessReport report = harness.run(
+      x, {.producers = 4, .ramp = {}, .on_swap = {}, .priorities = {}});
   // Every sample served, and the books balance: each retry was a fresh
   // offer, so offered = admitted + rejected exactly (the pre-fix code
   // lost the retry burst).
@@ -614,7 +1022,7 @@ TEST(HarnessAccountingTest, OfferedCountsEveryAttemptClosedLoop) {
 }
 
 TEST(HarnessAccountingTest, OpenLoopOffersEachSampleOnce) {
-  InferenceServer server(ServeConfig{.workers = 2});
+  InferenceServer server(ServeConfig{.workers = 2, .now_fn = {}});
   ModelConfig mc;
   mc.max_batch = 8;
   mc.max_delay_us = 100;

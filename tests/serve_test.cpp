@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ccq/common/fileio.hpp"
+#include "ccq/common/telemetry.hpp"
 #include "ccq/core/snapshot.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/artifact.hpp"
@@ -550,7 +551,8 @@ TEST(ServeTest, ServedOutputsBitIdenticalForAnyWorkerCount) {
     mc.max_delay_us = 200;
     server.load("mixed", hw::IntegerNetwork::compile(model), mc);
     ServeHarness harness(server, "mixed");
-    const HarnessReport report = harness.run(x, {.producers = 4});
+    const HarnessReport report = harness.run(
+        x, {.producers = 4, .ramp = {}, .on_swap = {}, .priorities = {}});
     ASSERT_EQ(report.outputs.size(), x.dim(0));
     for (std::size_t i = 0; i < report.outputs.size(); ++i) {
       EXPECT_EQ(max_row_diff(report.outputs[i], reference, i), 0.0f)
@@ -596,7 +598,8 @@ TEST(ServeTest, ServedOutputsMatchThePrePackedNaiveForward) {
   mc.max_delay_us = 200;
   server.load("golden", std::move(loaded), mc);
   ServeHarness harness(server, "golden");
-  const HarnessReport report = harness.run(x, {.producers = 3});
+  const HarnessReport report = harness.run(
+      x, {.producers = 3, .ramp = {}, .on_swap = {}, .priorities = {}});
   ASSERT_EQ(report.outputs.size(), x.dim(0));
   for (std::size_t i = 0; i < report.outputs.size(); ++i) {
     EXPECT_EQ(max_row_diff(report.outputs[i], golden, i), 0.0f)
@@ -652,6 +655,36 @@ TEST(ServeTest, FlushesOnDelayDeadline) {
   EXPECT_EQ(out.rank(), 1u);
 }
 
+TEST(ServeTest, LoneRequestsHalveTheExportedHold) {
+  const bool metrics_were = telemetry::metrics_enabled();
+  telemetry::set_metrics_enabled(true);
+  auto model = make_mixed_model();
+  InferenceServer server;
+  ModelConfig mc;
+  mc.max_batch = 64;  // never fills: every lone request waits out the hold
+  mc.max_delay_us = 4'000;
+  const ModelHandle handle =
+      server.load("hold-gauge", hw::IntegerNetwork::compile(model), mc);
+  const int hold = telemetry::find_named_metric(telemetry::NamedKind::kGauge,
+                                                "serve.hold-gauge.hold_us");
+  ASSERT_GE(hold, 0);
+
+  const Tensor sample = make_inputs(1).reshaped({3, 8, 8});
+  for (const double expected_us : {2'000.0, 1'000.0, 500.0}) {
+    Tensor out;
+    const auto start = std::chrono::steady_clock::now();
+    server.submit(handle, sample, out).get();
+    // A fresh model holds the full max_delay_us; each hold that passes
+    // with no second arrival halves the next one.
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::microseconds(
+                  static_cast<std::int64_t>(2 * expected_us)));
+    EXPECT_EQ(telemetry::named_gauge_value(hold), expected_us);
+  }
+  server.shutdown();
+  telemetry::set_metrics_enabled(metrics_were);
+}
+
 TEST(ServeTest, RejectsWhenQueueIsFullNamingTheModel) {
   auto model = make_mixed_model();
   InferenceServer server;
@@ -693,7 +726,8 @@ TEST(ServeTest, DrainWaitsForAllReplies) {
   ServeHarness harness(server, "drain");
   // run() already joins all futures; drain() afterwards must return
   // immediately with nothing queued or in flight.
-  harness.run(make_inputs(12), {.producers = 3});
+  harness.run(make_inputs(12),
+              {.producers = 3, .ramp = {}, .on_swap = {}, .priorities = {}});
   server.drain();
   EXPECT_EQ(server.queue_depth(), 0u);
 }
@@ -798,7 +832,8 @@ TEST(ServeTest, HarnessRetriesRejectionsToCompletion) {
   server.load("tiny", hw::IntegerNetwork::compile(model), mc);
   ServeHarness harness(server, "tiny");
   const Tensor x = make_inputs(32);
-  const HarnessReport report = harness.run(x, {.producers = 4});
+  const HarnessReport report = harness.run(
+      x, {.producers = 4, .ramp = {}, .on_swap = {}, .priorities = {}});
   EXPECT_EQ(report.requests, 32u);
   ASSERT_EQ(report.outputs.size(), 32u);
   for (const Tensor& out : report.outputs) EXPECT_EQ(out.rank(), 1u);
@@ -849,8 +884,12 @@ TEST(ServeTest, TwoModelsServeConcurrentlyOnOnePool) {
   ServeHarness drive_mixed(server, "mixed");
   ServeHarness drive_uniform(server, "uniform");
   HarnessReport report_mixed, report_uniform;
-  std::thread t([&] { report_mixed = drive_mixed.run(x, {.producers = 2}); });
-  report_uniform = drive_uniform.run(x, {.producers = 2});
+  std::thread t([&] {
+    report_mixed = drive_mixed.run(
+        x, {.producers = 2, .ramp = {}, .on_swap = {}, .priorities = {}});
+  });
+  report_uniform = drive_uniform.run(
+      x, {.producers = 2, .ramp = {}, .on_swap = {}, .priorities = {}});
   t.join();
 
   ASSERT_EQ(report_mixed.outputs.size(), x.dim(0));
