@@ -5,6 +5,7 @@
 // back to defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,7 +22,10 @@ class Args {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Out-of-range values throw a ccq::Error naming the flag, never wrap.
   int get_int(const std::string& key, int fallback) const;
+  /// Non-negative integer (counts, sizes, budgets, seeds), at most 2^63−1.
+  std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_flag(const std::string& key) const { return has(key); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ccq/common/error.hpp"
+#include "ccq/serve/sla.hpp"
 
 namespace ccq::serve {
 
@@ -53,7 +54,7 @@ bool OperatingPointController::latency_degrade() {
   last_stats_ = stats;
   if (window.count == 0) return false;
   const std::uint64_t p99_ns = telemetry::approx_quantile(window, 0.99);
-  return p99_ns > policy_.degrade_p99_us * 1000;
+  return p99_ns > us_to_ns_saturating(policy_.degrade_p99_us);
 }
 
 bool OperatingPointController::deadline_degrade(const LoadSignals& signals) {
@@ -86,8 +87,8 @@ std::size_t OperatingPointController::decide(const LoadSignals& signals) {
   const bool hot_latency = latency_degrade();
   const bool hot_deadlines = deadline_degrade(signals);
 
-  if (switched_once_ &&
-      signals.now_ns - last_switch_ns_ < policy_.min_dwell_us * 1000) {
+  if (switched_once_ && signals.now_ns - last_switch_ns_ <
+                            us_to_ns_saturating(policy_.min_dwell_us)) {
     return current_;
   }
 

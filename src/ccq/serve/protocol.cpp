@@ -1,6 +1,7 @@
 #include "ccq/serve/protocol.hpp"
 
 #include <cstring>
+#include <limits>
 
 namespace ccq::serve::wire {
 
@@ -205,8 +206,13 @@ InferRequest decode_request(std::string_view body) {
   while (!c.done()) {
     const auto field = c.u8();
     if (field == kFieldPoint && !request.has_point) {
+      const std::int64_t point = c.zigzag();
+      if (point < -1 || point > std::numeric_limits<std::int32_t>::max()) {
+        throw ProtocolError("InferRequest rung override " +
+                            std::to_string(point) + " out of range [-1, 2^31)");
+      }
       request.has_point = true;
-      request.point = static_cast<std::int32_t>(c.zigzag());
+      request.point = static_cast<std::int32_t>(point);
     } else if (field == kFieldPriority && !request.has_priority) {
       const std::uint64_t priority = c.varint();
       if (priority > kMaxPriority) {
@@ -292,8 +298,13 @@ InferReply decode_reply(std::string_view body) {
     while (!c.done()) {
       const auto field = c.u8();
       if (field == kFieldRung && !reply.has_rung) {
+        const std::uint64_t rung = c.varint();
+        if (rung > std::numeric_limits<std::uint32_t>::max()) {
+          throw ProtocolError("InferReply rung " + std::to_string(rung) +
+                              " out of range [0, 2^32)");
+        }
         reply.has_rung = true;
-        reply.rung = static_cast<std::uint32_t>(c.varint());
+        reply.rung = static_cast<std::uint32_t>(rung);
       } else {
         throw ProtocolError("InferReply carries unknown trailing field tag " +
                             std::to_string(field));

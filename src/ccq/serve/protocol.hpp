@@ -85,8 +85,9 @@ enum class MessageType : std::uint8_t {
 /// trailing-bytes ProtocolError instead of silently ignoring it — a
 /// request asking for a QoS the server cannot honour must not be
 /// served at an arbitrary one.  Hostile values are rejected at decode:
-/// a priority beyond the enum, a deadline of 0 (the tag would claim a
-/// budget while meaning "none" — omit it instead).  A u64-max deadline
+/// a priority beyond the enum, a rung override outside [−1, 2^31−1]
+/// (never truncated onto another rung), a deadline of 0 (the tag would
+/// claim a budget while meaning "none" — omit it instead).  A u64-max deadline
 /// is legal and saturates server-side instead of wrapping.
 struct InferRequest {
   std::string model;
@@ -107,7 +108,8 @@ struct InferRequest {
 /// (so clients observe hot-swaps), or the server-side error message.
 /// `rung` is echoed (same optional-trailing-field scheme) only when the
 /// request carried an operating-point tag, so replies to untagged
-/// requests stay byte-identical to the previous protocol revision.
+/// requests stay byte-identical to the previous protocol revision.  A
+/// rung past 2^32−1 is rejected at decode, not truncated.
 struct InferReply {
   bool ok = false;
   std::uint64_t version = 0;    ///< served version (ok replies)

@@ -11,11 +11,14 @@ namespace detail {
 
 LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
                          hw::IntegerNetwork net_in, ModelConfig config_in)
-    : name(std::move(name_in)),
+    : SlaModel{.max_batch = config_in.max_batch,
+               .capacity = config_in.queue_capacity,
+               .weight = config_in.weight,
+               .hold_ns = us_to_ns_saturating(config_in.max_delay_us)},
+      name(std::move(name_in)),
       version(version_in),
       config(config_in),
-      net(std::move(net_in)),
-      hold_ns(us_to_ns_saturating(config.max_delay_us)) {
+      net(std::move(net_in)) {
   using telemetry::NamedKind;
   const std::string prefix = "serve." + name + ".";
   metrics.requests =

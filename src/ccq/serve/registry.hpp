@@ -1,9 +1,7 @@
 // Model registry: many packed artifacts, versioned, hot-swappable.
 //
-// The single-model `InferenceServer` of PR 4 served exactly one compiled
-// network to in-process callers.  Fleet-scale serving (ROADMAP item 1)
-// needs the opposite shape: one server hosting *many* models, each
-// replaceable under traffic.  This module is the routing layer:
+// One server hosts *many* models, each replaceable under traffic.  This
+// module is the routing layer:
 //
 //   * `ModelRegistry` maps model names to an ordered list of loaded
 //     versions.  `publish()` appends a new version and atomically makes
@@ -24,10 +22,10 @@
 //     stays v1.
 //
 // The registry owns names, versions and the compiled networks; the
-// *queue state* embedded in each `detail::LoadedModel` (request deque,
-// in-flight count, admission flags) belongs to the `InferenceServer`
-// that loaded the model and is guarded by that server's mutex — the
-// registry never touches it.
+// *queue state* of each `detail::LoadedModel` (its `SlaModel`
+// scheduling state, in-flight count, admission flags) belongs to the
+// `InferenceServer` that loaded the model and is guarded by that
+// server's mutex — the registry never touches it.
 #pragma once
 
 #include <cstdint>
@@ -112,10 +110,13 @@ struct Request {
 };
 
 /// One loaded model version: the compiled network plus its serving
-/// state.  Everything above the `queue state` line is immutable after
-/// construction; the queue state is guarded by the loading server's
-/// mutex.
-struct LoadedModel {
+/// state.  The scheduling state (queue, batch and admission bounds,
+/// learned hold, virtual time) is the `SlaModel` base, which the
+/// server's admit and flush steps (serve/sla.hpp) read and update.
+/// Everything above the `queue state` line is immutable after
+/// construction; the base and the queue state are guarded by the
+/// loading server's mutex.
+struct LoadedModel : SlaModel<Request> {
   LoadedModel(std::string name_in, std::uint64_t version_in,
               hw::IntegerNetwork net_in, ModelConfig config_in);
 
@@ -147,20 +148,11 @@ struct LoadedModel {
 
   // ---- queue state: guarded by the owning InferenceServer's mutex ----
   InferenceServer* owner = nullptr;  ///< server this version was loaded into
-  SlaQueue<Request> queue;
   Shape pinned_shape;        ///< sample shape, pinned by the first submit
   std::size_t in_flight = 0;
   bool retired = false;      ///< unloaded: admissions closed, queue drains
-  /// Virtual time accrued by the fair scheduler (served samples /
-  /// config.weight) — the worker pool flushes the least-vtime model.
-  double vtime = 0.0;
   std::uint64_t admitted = 0;         ///< requests admitted, lifetime
   std::uint64_t deadline_misses = 0;  ///< requests expired at dequeue, lifetime
-  /// Learned batching hold (starts at config.max_delay_us, updated at
-  /// each flush by `sla_next_hold_ns`) and the newest admission
-  /// instant, whose distance to the flush judges the hold.
-  std::uint64_t hold_ns = 0;
-  std::uint64_t newest_ns = 0;
   /// Rung selector — decisions happen at batch-flush time under the
   /// owner's mutex, hence queue state.
   OperatingPointController point;

@@ -12,24 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The scheduler's view of one model at a decision instant.  All
-/// flush/park/pick policy lives in serve/sla.hpp as pure functions over
-/// this view — the deterministic scheduler tests drive the same code.
-SchedView sched_view(const detail::LoadedModel& model, bool stopping) {
-  SchedView view;
-  view.queued = model.queue.size();
-  if (view.queued > 0) {
-    view.oldest_ns = model.queue.oldest_enqueue_ns();
-    view.newest_ns = model.newest_ns;
-    view.earliest_deadline_ns = model.queue.earliest_deadline_ns();
-  }
-  view.max_batch = model.config.max_batch;
-  view.hold_ns = model.hold_ns;
-  view.force = stopping || model.retired;
-  view.vtime = model.vtime;
-  return view;
-}
-
 /// The telemetry clock is the steady clock in nanoseconds, so a park
 /// deadline computed in server-clock ns maps back onto a wait_until
 /// time point exactly (real-clock mode only — an injected clock parks
@@ -90,6 +72,7 @@ void InferenceServer::retire(const std::vector<ModelPtr>& models) {
     ++work_generation_;  // retired queues flush immediately: force rescans
     for (const ModelPtr& model : models) {
       model->retired = true;
+      model->force = true;
       if (model->queue.empty() && model->in_flight == 0) {
         active_.erase(std::remove(active_.begin(), active_.end(), model),
                       active_.end());
@@ -140,7 +123,7 @@ std::future<void> InferenceServer::submit(const ModelHandle& model,
   std::future<void> future = request.promise.get_future();
   // Shed victim, failed outside the lock (set_exception wakes a waiter).
   detail::Request shed;
-  bool did_shed = false;
+  SlaAdmission admission = SlaAdmission::kQueued;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     CCQ_CHECK(loaded.owner == this,
@@ -177,36 +160,21 @@ std::future<void> InferenceServer::submit(const ModelHandle& model,
                     shape_str(loaded.pinned_shape) + " pinned for model " +
                     loaded.name + " v" + std::to_string(loaded.version));
     }
-    if (loaded.queue.size() >= loaded.config.queue_capacity) {
-      // Shed lowest-priority-first: evict the oldest request of the
-      // lowest class when the incomer strictly outranks it (it has
-      // absorbed the most queueing delay, so under overload it is the
-      // most likely to miss its SLA anyway); otherwise the incomer is
-      // the lowest and is the one shed — so a high-priority request is
-      // never rejected while lower-priority work is queued.
-      if (loaded.queue.lowest() < request.priority) {
-        shed = loaded.queue.shed_lowest();
-        did_shed = true;
-        --total_queued_;
-        telemetry::add(telemetry::Counter::kServeShed);
-        telemetry::add_named(
-            loaded.metrics.shed[static_cast<std::size_t>(shed.priority)]);
-      } else {
-        telemetry::add(telemetry::Counter::kServeRejected);
-        telemetry::add_named(loaded.metrics.rejected);
-        telemetry::add(telemetry::Counter::kServeShed);
-        telemetry::add_named(
-            loaded.metrics.shed[static_cast<std::size_t>(request.priority)]);
-        throw QueueFullError(loaded.name, loaded.config.queue_capacity);
-      }
+    admission = sla_admit(loaded, std::move(request), vclock_, shed);
+    if (admission == SlaAdmission::kRejected) {
+      telemetry::add(telemetry::Counter::kServeRejected);
+      telemetry::add_named(loaded.metrics.rejected);
+      telemetry::add(telemetry::Counter::kServeShed);
+      telemetry::add_named(
+          loaded.metrics.shed[static_cast<std::size_t>(options.priority)]);
+      throw QueueFullError(loaded.name, loaded.config.queue_capacity);
     }
-    if (loaded.queue.empty()) {
-      // Idle→busy: rejoin the fair scheduler at its virtual clock so
-      // the idle period never turns into a catch-up burst.
-      loaded.vtime = std::max(loaded.vtime, vclock_);
+    if (admission == SlaAdmission::kShed) {
+      --total_queued_;
+      telemetry::add(telemetry::Counter::kServeShed);
+      telemetry::add_named(
+          loaded.metrics.shed[static_cast<std::size_t>(shed.priority)]);
     }
-    loaded.newest_ns = std::max(loaded.newest_ns, request.enqueue_ns);
-    loaded.queue.push(std::move(request));
     ++loaded.admitted;
     ++work_generation_;
     ++total_queued_;
@@ -221,7 +189,7 @@ std::future<void> InferenceServer::submit(const ModelHandle& model,
   // its predicate on wakeup, and the notified thread is not guaranteed to
   // be the one able to take the work.
   work_cv_.notify_all();
-  if (did_shed) {
+  if (admission == SlaAdmission::kShed) {
     shed.promise.set_exception(std::make_exception_ptr(
         RequestShedError(loaded.name, shed.priority)));
   }
@@ -249,43 +217,30 @@ void InferenceServer::worker_loop() {
       if (stopping_) return;  // drained: stop only once every queue is empty
       continue;
     }
-    // Weighted fair pick (serve/sla.hpp): among flushable models, the
-    // one with the least virtual time goes next.  If nothing is
-    // flushable yet, park until the earliest flush/deadline event and
-    // rescan.
+    // One flush step (serve/sla.hpp); an unpinned batch's rung is the
+    // controller's pick from the observed load (queue depth plus the
+    // deadline-pressure window).  If nothing is flushable yet, park
+    // until the earliest flush/deadline event and rescan.
     const std::uint64_t now = now_ns();
-    ModelPtr target;
-    SchedView target_view;
-    for (const ModelPtr& model : active_) {
-      const SchedView view = sched_view(*model, stopping_);
-      if (!sla_flushable(view, now)) continue;
-      if (!target || sla_prefer(view, target_view)) {
-        target = model;
-        target_view = view;
-      }
-    }
-    if (!target) {
-      std::uint64_t earliest = kNoEventNs;
-      for (const ModelPtr& model : active_) {
-        earliest =
-            std::min(earliest, sla_next_event_ns(sched_view(*model, stopping_)));
-      }
-      // `earliest` is stale the moment queue state changes: a new submit
-      // to a model with a shorter hold (or a tighter deadline)
-      // creates an earlier event, and re-parking until the old one would
-      // violate that model's latency bound.  The generation bump makes
-      // the predicate pass so the outer loop re-derives the event set.
+    batch.clear();
+    const auto flush = sla_flush(
+        active_, now, vclock_, expired, batch, [&](detail::LoadedModel& m) {
+          return static_cast<std::int32_t>(m.point.decide(
+              {m.queue.size(), now, m.admitted, m.deadline_misses}));
+        });
+    if (!flush.model) {
+      // The event is stale the moment queue state changes: a new submit
+      // to a model with a shorter hold (or a tighter deadline) creates
+      // an earlier event, and re-parking until the old one would violate
+      // that model's latency bound.  The generation bump makes the
+      // predicate pass so the outer loop re-derives the event set.
+      // Without one, nothing becomes flushable before the event.
       const std::uint64_t parked_generation = work_generation_;
       const auto parked = [&] {
-        if (stopping_ || work_generation_ != parked_generation) return true;
-        const std::uint64_t tick = now_ns();
-        return std::any_of(active_.begin(), active_.end(),
-                           [&](const ModelPtr& model) {
-                             return sla_flushable(sched_view(*model, stopping_),
-                                                  tick);
-                           });
+        return stopping_ || work_generation_ != parked_generation ||
+               now_ns() >= flush.next_event_ns;
       };
-      if (config_.now_fn || earliest == kNoEventNs) {
+      if (config_.now_fn || flush.next_event_ns == kNoEventNs) {
         // No timed event (queued work can only become flushable through
         // a queue-state change), or an injected clock, where a timed
         // park against the real clock would be meaningless.  Either way
@@ -293,59 +248,21 @@ void InferenceServer::worker_loop() {
         // wait predicate would spin without ever releasing it.
         work_cv_.wait(lock, parked);
       } else {
-        work_cv_.wait_until(lock, to_time_point(earliest), parked);
+        work_cv_.wait_until(lock, to_time_point(flush.next_event_ns), parked);
       }
       continue;  // rescan with fresh deadlines
     }
 
-    detail::LoadedModel& model = *target;
-    // Advance the scheduler's virtual clock to the pick.
-    vclock_ = std::max(vclock_, model.vtime);
-
-    // Dequeue-time expiry sweep: requests whose deadline passed are
-    // dropped before batch composition, so an expired request never
-    // occupies a batch slot.  Their futures fail outside the lock.
-    expired.clear();
-    model.queue.expire(now, [&](detail::Request&& request) {
-      expired.push_back(std::move(request));
-    });
-    if (!expired.empty()) {
+    detail::LoadedModel& model = *flush.model;
+    if (!expired.empty()) {  // their futures fail outside the lock
       total_queued_ -= expired.size();
       model.deadline_misses += expired.size();
       telemetry::add(telemetry::Counter::kServeDeadlineMiss, expired.size());
       telemetry::add_named(model.metrics.deadline_miss, expired.size());
     }
-    // Let the model learn from this flush how long its next partial
-    // batch holds, judged on what the sweep left queued.
-    model.hold_ns = sla_next_hold_ns(sched_view(model, stopping_), now);
     telemetry::set_named_gauge(model.metrics.hold,
                                static_cast<double>(model.hold_ns) / 1000.0);
-
-    batch.clear();
-    std::int32_t batch_rung = 0;
-    if (!model.queue.empty()) {
-      // Fix the batch's operating point before touching the queue: the
-      // front request's explicit override wins, otherwise the model's
-      // controller decides from the observed load (queue depth plus the
-      // deadline-pressure window).  Only requests compatible with that
-      // rung (no preference, or the same override) join the batch — a
-      // batch is always one precision, structurally.
-      batch_rung = model.queue.front().rung >= 0
-                       ? model.queue.front().rung
-                       : static_cast<std::int32_t>(model.point.decide(
-                             {model.queue.size(), now, model.admitted,
-                              model.deadline_misses}));
-      batch.reserve(std::min(model.queue.size(), model.config.max_batch));
-      while (batch.size() < model.config.max_batch && !model.queue.empty()) {
-        const detail::Request& front = model.queue.front();
-        if (front.rung >= 0 && front.rung != batch_rung) break;
-        batch.push_back(model.queue.pop_front());
-      }
-    }
     const std::size_t take = batch.size();
-    // Charge the fair scheduler: vtime grows by served samples over
-    // weight, so a heavier model drains proportionally more batches.
-    model.vtime += static_cast<double>(take) / model.config.weight;
     model.in_flight += take;
     total_queued_ -= take;
     total_in_flight_ += take;
@@ -362,13 +279,13 @@ void InferenceServer::worker_loop() {
     expired.clear();
     if (more_work) work_cv_.notify_all();  // more work queued: wake peers
     if (take > 0) {
-      run_batch(model, batch, ws, ctx, static_cast<std::size_t>(batch_rung));
+      run_batch(model, batch, ws, ctx, static_cast<std::size_t>(flush.rung));
     }
     lock.lock();
     model.in_flight -= take;
     total_in_flight_ -= take;
     if (model.retired && model.queue.empty() && model.in_flight == 0) {
-      active_.erase(std::remove(active_.begin(), active_.end(), target),
+      active_.erase(std::remove(active_.begin(), active_.end(), flush.model),
                     active_.end());
     }
     if (total_queued_ == 0 && total_in_flight_ == 0) idle_cv_.notify_all();
@@ -454,6 +371,7 @@ void InferenceServer::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ && workers_.empty()) return;  // already shut down
     stopping_ = true;
+    for (const ModelPtr& model : active_) model->force = true;
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();

@@ -15,31 +15,20 @@
 //     old version finish on the old version's network (bit-identical to
 //     its artifact), new resolutions get the new one, and nothing is
 //     lost or double-served across the cutover (regression-tested);
-//   * per-model bounded queues with priority admission — a full model
-//     queue sheds its lowest-priority request (typed `RequestShedError`
-//     through the evicted future) to admit strictly higher-priority
-//     traffic, and rejects the incomer with `QueueFullError` otherwise,
-//     so overload surfaces immediately and never at a high-priority
-//     caller while lower-priority work is queued.  Requests carrying a
-//     `deadline_us` budget that expires while queued are dropped at
-//     dequeue time (typed `DeadlineExceededError`) instead of wasting a
-//     batch slot — serve/sla.hpp holds the policy primitives;
-//   * dynamic batching per model — a worker flushes a model's queue
-//     when `max_batch` requests wait or the oldest has waited the
-//     model's learned hold.  The hold starts at `max_delay_us` (both
-//     per-model `ModelConfig` knobs) and only shrinks: each flush
-//     halves it when the hold's second half saw no arrival
-//     (`sla_next_hold_ns`, serve/sla.hpp).  Per-sample
-//     outputs of the integer engine are independent of batch
-//     composition, so served results are bit-identical to a direct
-//     `IntegerNetwork::forward` regardless of coalescing;
+//   * per-model bounded queues with priority admission (a full queue
+//     sheds lower-priority work for a higher-priority incomer, typed
+//     `RequestShedError`, else rejects with `QueueFullError`), deadline
+//     expiry at dequeue (`DeadlineExceededError`), dynamic batching
+//     (`max_batch` or the model's learned hold, capped by
+//     `max_delay_us`) and weighted fair scheduling between models: the
+//     admit and flush steps of serve/sla.hpp, run under the server
+//     mutex.  Per-sample outputs of the integer engine are independent
+//     of batch composition, so served results are bit-identical to a
+//     direct `IntegerNetwork::forward` regardless of coalescing;
 //   * N shared worker threads, each owning a warm `Workspace` and a
-//     private `ExecContext` (server-wide `ServeConfig` knobs), picking
-//     the next model to flush by weighted fair scheduling: every model
-//     accrues virtual time at `samples / ModelConfig::weight` as it is
-//     served and the flushable model with the least virtual time goes
-//     next, so a hot model gets its weight's share and no more while a
-//     quiet model's batch is never starved behind it;
+//     private `ExecContext` (server-wide `ServeConfig` knobs), so a hot
+//     model gets its weight's share and no more while a quiet model's
+//     batch is never starved behind it;
 //   * graceful drain — `shutdown()` stops admissions, serves everything
 //     already queued (for every model), then joins the workers.
 //

@@ -1,55 +1,30 @@
-// SLA primitives for the serving stack: priorities, deadlines, and
-// weighted fair scheduling.
-//
-// PR 8/9 built multi-model serving with FIFO admission per model; this
-// module adds the quality-of-service layer (ROADMAP item 1): every
-// request carries a `Priority` and an optional relative deadline, a
-// full queue sheds its lowest-priority request instead of blanket-
-// rejecting, and the worker pool picks the next model to flush by
-// weighted fair (virtual-time) accounting rather than oldest-request
-// age, so a hot model cannot starve a quiet one.
+// SLA scheduling for the serving stack: priorities, deadlines, weighted
+// fair scheduling and the learned batching hold, so a hot model cannot
+// starve a quiet one and overload drops the least valuable work first
+// (docs/SERVING.md §SLA-aware serving).
 //
 // Everything here is deliberately thread-free and clock-free: callers
 // pass `now_ns` in (the server routes it through its injectable clock,
-// `ServeConfig::now_fn`), and the queue/flush/pick decisions are plain
-// functions over plain state.  That is what makes the scheduler's
+// `ServeConfig::now_fn`).  One state type, `SlaModel`, holds a model's
+// queue and everything the rules read, and two steps combine the rules:
+// `sla_admit` (shed-or-reject, fair-share rejoin) and `sla_flush` (pick,
+// expiry sweep, hold learning, batch composition, fair-share charge).
+// The `InferenceServer` runs both under its mutex, and
+// `tests/serve_sla_test.cpp`'s deterministic simulator runs the very
+// same two on a virtual clock.  That is what makes the scheduler's
 // properties — shed order, deadline expiry at dequeue, fair-share
-// convergence, starvation freedom — assertable *exactly* in
-// `tests/serve_sla_test.cpp`'s deterministic harness instead of
-// probabilistically under real sleeps, while the `InferenceServer`
-// worker loop runs the very same code paths under its mutex.
-//
-// Policy summary (docs/SERVING.md §SLA-aware serving):
-//   * shed order — lowest priority class first, FIFO within a class
-//     (the oldest request of the lowest class has already absorbed the
-//     most queueing delay, so under overload it is the most likely to
-//     miss its SLA anyway and dropping it loses the least);
-//   * deadlines are *relative* budgets (`deadline_us` from admission)
-//     bounding time-to-dequeue: an expired request is dropped at batch
-//     composition time with a typed `DeadlineExceededError` instead of
-//     occupying a batch slot.  Admission never rejects on deadline — a
-//     relative budget cannot be expired at admission;
-//   * fair scheduling — each model accrues virtual time at
-//     `samples / weight` as it is served; the flushable model with the
-//     least virtual time flushes next, and a model going idle→busy
-//     rejoins at the scheduler's virtual clock so idle credit never
-//     turns into a burst;
-//   * batching hold — a partial batch flushes once its oldest request
-//     has waited the model's learned hold, never more than
-//     `max_delay_us`.  `sla_next_hold_ns` halves the hold when a
-//     timed-out flush spent its second half with no arrival, so a
-//     closed-loop client stops paying for partners that never come
-//     (adaptive batching after Clipper, Crankshaw et al., NSDI 2017).
-//     The hold never grows back: under load batches still fill, because
-//     requests queue while the workers are busy.
+// convergence, starvation freedom — assertable *exactly* instead of
+// probabilistically under real sleeps.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "ccq/common/error.hpp"
 
@@ -67,7 +42,8 @@ Priority priority_from_string(const std::string& name);
 
 /// The request's queueing budget expired before a worker dequeued it:
 /// dropped without occupying a batch slot.  Delivered through the
-/// submit future (and, over the wire, as an error reply).
+/// submit future (and, over the wire, as an error reply).  Budgets are
+/// relative to admission, so admission never rejects on one.
 class DeadlineExceededError : public Error {
  public:
   DeadlineExceededError(const std::string& model, std::uint64_t deadline_us)
@@ -117,7 +93,7 @@ inline bool deadline_expired(std::uint64_t deadline_ns, std::uint64_t now_ns) {
 /// One model's admission queue: a FIFO deque per priority class.
 /// Requires `Request` to expose `priority`, `enqueue_ns` and
 /// `deadline_ns` fields (the server's `detail::Request`; the
-/// deterministic tests instantiate it over a four-field struct).
+/// deterministic tests instantiate it over a small struct).
 /// Not thread-safe — guarded by the owning server's mutex.
 template <typename Request>
 class SlaQueue {
@@ -132,45 +108,17 @@ class SlaQueue {
   }
 
   /// Lowest priority class present.  Precondition: !empty().
-  Priority lowest() const {
-    for (std::size_t c = 0; c < kPriorityCount; ++c) {
-      if (!classes_[c].empty()) return static_cast<Priority>(c);
-    }
-    return Priority::kHigh;  // unreachable under the precondition
-  }
+  Priority lowest() const { return static_cast<Priority>(end_class(false)); }
 
   /// Remove and return the oldest request of the lowest non-empty
   /// class — the shed-order contract.  Precondition: !empty().
-  Request shed_lowest() {
-    for (auto& dq : classes_) {
-      if (dq.empty()) continue;
-      Request shed = std::move(dq.front());
-      dq.pop_front();
-      --size_;
-      return shed;
-    }
-    throw Error("shed_lowest on an empty SlaQueue");
-  }
+  Request shed_lowest() { return take(end_class(false)); }
 
   /// Oldest request of the highest non-empty class — the next request a
   /// batch takes.  Precondition: !empty().
-  const Request& front() const {
-    for (std::size_t c = kPriorityCount; c-- > 0;) {
-      if (!classes_[c].empty()) return classes_[c].front();
-    }
-    throw Error("front on an empty SlaQueue");
-  }
+  const Request& front() const { return classes_[end_class(true)].front(); }
 
-  Request pop_front() {
-    for (std::size_t c = kPriorityCount; c-- > 0;) {
-      if (classes_[c].empty()) continue;
-      Request request = std::move(classes_[c].front());
-      classes_[c].pop_front();
-      --size_;
-      return request;
-    }
-    throw Error("pop_front on an empty SlaQueue");
-  }
+  Request pop_front() { return take(end_class(true)); }
 
   /// Earliest admission instant across every queued request (the
   /// batch-fill flush deadline anchors on it).  Precondition: !empty().
@@ -218,39 +166,61 @@ class SlaQueue {
   }
 
  private:
+  /// The highest (or lowest) non-empty class.
+  std::size_t end_class(bool highest) const {
+    for (std::size_t i = 0; i < kPriorityCount; ++i) {
+      const std::size_t c = highest ? kPriorityCount - 1 - i : i;
+      if (!classes_[c].empty()) return c;
+    }
+    throw Error("SlaQueue is empty");
+  }
+
+  Request take(std::size_t c) {
+    Request request = std::move(classes_[c].front());
+    classes_[c].pop_front();
+    --size_;
+    return request;
+  }
+
   std::array<std::deque<Request>, kPriorityCount> classes_;
   std::size_t size_ = 0;
 };
 
-/// The scheduler's per-model view at one decision instant — the whole
-/// input to the flush/park/pick functions below.  The server builds one
-/// per active model under its mutex; the deterministic test harness
-/// builds them from simulated models.  Same functions, same decisions.
-struct SchedView {
-  std::size_t queued = 0;
-  std::uint64_t oldest_ns = 0;               ///< oldest admission instant
-  std::uint64_t newest_ns = 0;               ///< newest admission instant
-  std::uint64_t earliest_deadline_ns = kNoEventNs;
+/// One model's scheduling state: its queue, the knobs the rules read and
+/// what they learn.  The server's `detail::LoadedModel` and the
+/// deterministic tests' simulated model both derive from it, so the two
+/// steps below (`sla_admit`, `sla_flush`) run the same code on both.
+/// `sla_flush` also needs `Request::rung` (−1 = no override).  Guarded
+/// by the owning server's mutex.
+template <typename Request>
+struct SlaModel {
+  SlaQueue<Request> queue{};
   std::size_t max_batch = 1;
-  std::uint64_t hold_ns = 0;  ///< learned batching hold (≤ max_delay)
-  bool force = false;  ///< stopping / retired: flush immediately
+  std::size_t capacity = 1;  ///< admission bound
+  double weight = 1.0;       ///< fair-share weight (> 0)
+  /// Learned batching hold: starts at max_delay, updated at each flush
+  /// by `sla_next_hold_ns`, never above its start.
+  std::uint64_t hold_ns = 0;
+  std::uint64_t newest_ns = 0;  ///< newest admission instant
   double vtime = 0.0;  ///< virtual time accrued (served / weight)
+  bool force = false;  ///< unloaded or stopping: flush at once
 };
 
 /// A model flushes when the batch is full, the oldest request aged past
 /// the model's learned hold, any queued deadline expired (so the drop
-/// reply is prompt), or draining is forced (stop / retirement).
-inline bool sla_flushable(const SchedView& m, std::uint64_t now_ns) {
-  if (m.queued == 0) return false;
-  if (m.force || m.queued >= m.max_batch) return true;
-  if (now_ns >= m.oldest_ns && now_ns - m.oldest_ns >= m.hold_ns) {
-    return true;
-  }
-  return m.earliest_deadline_ns != kNoEventNs &&
-         now_ns >= m.earliest_deadline_ns;
+/// reply is prompt), or draining is forced (stop / retirement).  The
+/// O(queue) deadline scan runs only when nothing else decided.
+template <typename Request>
+bool sla_flushable(const SlaModel<Request>& m, std::uint64_t now_ns) {
+  if (m.queue.empty()) return false;
+  if (m.force || m.queue.size() >= m.max_batch) return true;
+  const std::uint64_t oldest = m.queue.oldest_enqueue_ns();
+  if (now_ns >= oldest && now_ns - oldest >= m.hold_ns) return true;
+  const std::uint64_t deadline = m.queue.earliest_deadline_ns();
+  return deadline != kNoEventNs && now_ns >= deadline;
 }
 
-/// The hold after a flush at `now_ns`, where `m` is the flushed model's
+/// The hold after a flush at `now_ns`, judged on the flushed model's
 /// queue after the expiry sweep (so expired requests do not count).  A
 /// flush is judged by its tail, the time from the newest arrival to the
 /// flush:
@@ -263,11 +233,13 @@ inline bool sla_flushable(const SchedView& m, std::uint64_t now_ns) {
 /// fixed hold would until its traffic shows the hold is not paying.
 /// Nothing grows the hold: it cannot raise throughput, since a busy
 /// worker's backlog already fills batches under load, and it adds wait.
-inline std::uint64_t sla_next_hold_ns(const SchedView& m,
-                                      std::uint64_t now_ns) {
-  if (m.queued == 0 || m.force) return m.hold_ns;
-  const bool timed_out =
-      now_ns >= m.oldest_ns && now_ns - m.oldest_ns >= m.hold_ns;
+/// (Adaptive batching after Clipper, Crankshaw et al., NSDI 2017.)
+template <typename Request>
+std::uint64_t sla_next_hold_ns(const SlaModel<Request>& m,
+                               std::uint64_t now_ns) {
+  if (m.queue.empty() || m.force) return m.hold_ns;
+  const std::uint64_t oldest = m.queue.oldest_enqueue_ns();
+  const bool timed_out = now_ns >= oldest && now_ns - oldest >= m.hold_ns;
   const std::uint64_t tail = now_ns >= m.newest_ns ? now_ns - m.newest_ns : 0;
   if (!timed_out || tail < m.hold_ns / 2) return m.hold_ns;
   const std::uint64_t halved = m.hold_ns / 2;
@@ -276,22 +248,107 @@ inline std::uint64_t sla_next_hold_ns(const SchedView& m,
 
 /// Next instant this model could become flushable without new arrivals
 /// (what a worker parks until); kNoEventNs when its queue is empty.
-inline std::uint64_t sla_next_event_ns(const SchedView& m) {
-  if (m.queued == 0) return kNoEventNs;
-  if (m.force || m.queued >= m.max_batch) return 0;  // due now
+template <typename Request>
+std::uint64_t sla_next_event_ns(const SlaModel<Request>& m) {
+  if (m.queue.empty()) return kNoEventNs;
+  if (m.force || m.queue.size() >= m.max_batch) return 0;  // due now
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t oldest = m.queue.oldest_enqueue_ns();
   const std::uint64_t fill =
-      m.hold_ns > kMax - m.oldest_ns ? kMax : m.oldest_ns + m.hold_ns;
-  return std::min(fill, m.earliest_deadline_ns);
+      m.hold_ns > kMax - oldest ? kMax : oldest + m.hold_ns;
+  return std::min(fill, m.queue.earliest_deadline_ns());
 }
 
 /// Weighted fair pick order between two flushable models: least virtual
 /// time first (each model accrues `samples / weight` as it is served),
 /// oldest front request as the tie-break so equal-share models still
 /// drain oldest-first.
-inline bool sla_prefer(const SchedView& a, const SchedView& b) {
+template <typename Request>
+bool sla_prefer(const SlaModel<Request>& a, const SlaModel<Request>& b) {
   if (a.vtime != b.vtime) return a.vtime < b.vtime;
-  return a.oldest_ns < b.oldest_ns;
+  return a.queue.oldest_enqueue_ns() < b.queue.oldest_enqueue_ns();
+}
+
+/// What admission did with an incoming request.
+enum class SlaAdmission { kQueued, kShed, kRejected };
+
+/// The admit step.  A full queue sheds its lowest-priority request when
+/// the incomer strictly outranks it (the oldest of the lowest class has
+/// absorbed the most queueing delay, so under overload it is the most
+/// likely to miss its SLA anyway): `kShed`, the victim moved into
+/// `victim`.  Otherwise the incomer is turned away, untouched:
+/// `kRejected`.  So a high-priority request is never rejected while
+/// lower-priority work is queued.  A model going idle→busy rejoins at
+/// the virtual clock `vclock`, so idle time never becomes a burst.
+template <typename Request>
+SlaAdmission sla_admit(SlaModel<Request>& m, Request&& request, double vclock,
+                       Request& victim) {
+  SlaAdmission outcome = SlaAdmission::kQueued;
+  if (m.queue.size() >= m.capacity) {
+    if (!(m.queue.lowest() < request.priority)) return SlaAdmission::kRejected;
+    victim = m.queue.shed_lowest();
+    outcome = SlaAdmission::kShed;
+  }
+  if (m.queue.empty()) m.vtime = std::max(m.vtime, vclock);
+  m.newest_ns = std::max(m.newest_ns, request.enqueue_ns);
+  m.queue.push(std::move(request));
+  return outcome;
+}
+
+/// What one flush step did: the flushed model and its batch's rung, or,
+/// when no model was due, the earliest instant one could be.
+template <typename ModelPtr>
+struct SlaFlush {
+  ModelPtr model{};                          ///< null: nothing was due
+  std::uint64_t next_event_ns = kNoEventNs;  ///< when `model` is null
+  std::int32_t rung = 0;                     ///< the batch's operating point
+};
+
+/// The flush step over `models` (pointers to SlaModel-derived states) at
+/// `now_ns`.  The flushable model `sla_prefer` ranks first is flushed:
+/// the virtual clock `vclock` advances to it, its expired requests are
+/// swept into `expired` (so none occupies a batch slot), its hold learns
+/// from what the sweep left, up to `max_batch` requests move into
+/// `batch`, and it is charged `batch.size() / weight` virtual time, so a
+/// heavier model drains proportionally more batches.  The batch's rung
+/// is the front request's override, else `choose_rung(model)`'s pick
+/// (the server asks the model's controller); only requests with no
+/// override or the same one join, so a batch is always one precision.
+template <typename Models, typename Request, typename ChooseRung>
+auto sla_flush(const Models& models, std::uint64_t now_ns, double& vclock,
+               std::vector<Request>& expired, std::vector<Request>& batch,
+               ChooseRung&& choose_rung) {
+  SlaFlush<typename Models::value_type> flush;
+  for (const auto& model : models) {
+    if (sla_flushable(*model, now_ns) &&
+        (!flush.model || sla_prefer(*model, *flush.model))) {
+      flush.model = model;
+    }
+  }
+  if (!flush.model) {
+    for (const auto& model : models) {
+      flush.next_event_ns =
+          std::min(flush.next_event_ns, sla_next_event_ns(*model));
+    }
+    return flush;
+  }
+  auto& m = *flush.model;
+  vclock = std::max(vclock, m.vtime);
+  m.queue.expire(now_ns, [&](Request&& request) {
+    expired.push_back(std::move(request));
+  });
+  m.hold_ns = sla_next_hold_ns(m, now_ns);
+  if (!m.queue.empty()) {
+    const std::int32_t front = m.queue.front().rung;
+    flush.rung = front >= 0 ? front : choose_rung(m);
+    while (batch.size() < m.max_batch && !m.queue.empty()) {
+      const std::int32_t rung = m.queue.front().rung;
+      if (rung >= 0 && rung != flush.rung) break;
+      batch.push_back(m.queue.pop_front());
+    }
+  }
+  m.vtime += static_cast<double>(batch.size()) / m.weight;
+  return flush;
 }
 
 }  // namespace ccq::serve

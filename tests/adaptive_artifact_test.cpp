@@ -29,47 +29,12 @@
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/artifact.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
-Tensor make_inputs(std::size_t n, std::size_t channels = 3,
-                   std::size_t hw = 8) {
-  Tensor x({n, channels, hw, hw});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-/// A small quantized CNN with a mixed 8/4/2 allocation (layer i at
-/// ladder position i mod 3), calibrated with one training-mode forward.
-/// Same recipe as serve_test.cpp.
-models::QuantModel make_mixed_model() {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % 3);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(16), ws);
-  model.set_training(false);
-  return model;
-}
 
 /// The descent that would have produced make_mixed_model's allocation:
 /// starting from everything at ladder position 0, each layer with a
@@ -116,15 +81,6 @@ float max_diff(const Tensor& a, const Tensor& b) {
     diff = std::max(diff, std::abs(da[i] - db[i]));
   }
   return diff;
-}
-
-std::string error_message(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
 }
 
 /// RAII save/restore of $CCQ_IGEMM_KERNEL (kernel sweeps must not leak

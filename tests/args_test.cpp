@@ -1,6 +1,8 @@
 // Tests for the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ccq/common/args.hpp"
 #include "ccq/common/error.hpp"
 
@@ -36,6 +38,54 @@ TEST(ArgsTest, IntParsingAndValidation) {
   EXPECT_EQ(args.get_int("absent", 7), 7);
   const Args bad = parse({"run", "--epochs", "twelve"});
   EXPECT_THROW(bad.get_int("epochs", 0), Error);
+}
+
+/// The ccq::Error message `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgsTest, IntFlagsOutOfRangeFailInsteadOfWrapping) {
+  // 5'000'000'000 narrowed to int reads 705'032'704.
+  const Args wide = parse({"serve", "--queue-cap", "5000000000"});
+  EXPECT_NE(error_of([&] { wide.get_int("queue-cap", 0); }).find("queue-cap"),
+            std::string::npos);
+  const Args list = parse({"run", "--ladder", "8,4294967298"});
+  EXPECT_THROW(list.get_int_list("ladder", {}), Error);
+  const Args edge = parse({"run", "--epochs", "2147483647"});
+  EXPECT_EQ(edge.get_int("epochs", 0), 2147483647);
+}
+
+TEST(ArgsTest, UnsignedFlagsRejectNegativesAndOverflow) {
+  const Args args = parse({"serve", "--queue-cap", "5000000000",
+                           "--max-delay-us", "9223372036854775807"});
+  EXPECT_EQ(args.get_uint("queue-cap", 0), 5'000'000'000u);
+  EXPECT_EQ(args.get_uint("max-delay-us", 0), 9'223'372'036'854'775'807u);
+  EXPECT_EQ(args.get_uint("absent", 7), 7u);
+  // A negative value cast to unsigned would read SIZE_MAX: `--max-batch
+  // -1` must not mean an unbounded batch.
+  const Args negative = parse({"serve", "--max-batch", " -1"});
+  const std::string message =
+      error_of([&] { negative.get_uint("max-batch", 8); });
+  EXPECT_NE(message.find("--max-batch"), std::string::npos) << message;
+  EXPECT_NE(message.find("out of range"), std::string::npos) << message;
+  const Args past = parse({"serve", "--max-delay-us", "9223372036854775808"});
+  EXPECT_NE(error_of([&] { past.get_uint("max-delay-us", 0); })
+                .find("max-delay-us"),
+            std::string::npos);
+  // A plain negative token never becomes a value; the error names the
+  // flag it followed.
+  EXPECT_NE(error_of([] { parse({"serve", "--max-batch", "-1"}); })
+                .find("after --max-batch"),
+            std::string::npos);
+  const Args word = parse({"serve", "--workers", "two"});
+  EXPECT_THROW(word.get_uint("workers", 1), Error);
 }
 
 TEST(ArgsTest, BareFlags) {

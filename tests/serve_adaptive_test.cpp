@@ -23,47 +23,15 @@
 #include "ccq/serve/artifact.hpp"
 #include "ccq/serve/harness.hpp"
 #include "ccq/serve/net.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
-Tensor make_inputs(std::size_t n) {
-  Tensor x({n, 3, 8, 8});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-/// The mixed 8/4/2 quantized CNN from serve_test.cpp, plus the trail
-/// that would have produced its allocation — the inputs to
-/// `build_multipoint`.
-models::QuantModel make_mixed_model() {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % 3);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(16), ws);
-  model.set_training(false);
-  return model;
-}
-
+/// The trail that would have produced make_mixed_model's allocation —
+/// with the model, the inputs to `build_multipoint`.
 core::RungTrail trail_for(const models::QuantModel& model) {
   const quant::LayerRegistry& registry = model.registry();
   core::RungTrail trail;
@@ -85,32 +53,6 @@ hw::IntegerNetwork make_multipoint() {
   options.size_budget = 4.0;
   return build_multipoint(model, trail_for(model), options);
 }
-
-float max_row_diff(const Tensor& row, const Tensor& batch, std::size_t i) {
-  float diff = 0.0f;
-  for (std::size_t c = 0; c < row.dim(0); ++c) {
-    diff = std::max(diff, std::abs(row(c) - batch(i, c)));
-  }
-  return diff;
-}
-
-std::string error_message(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
-
-/// Enable telemetry for one test, restoring the previous setting.
-struct MetricsGuard {
-  MetricsGuard() : was(telemetry::metrics_enabled()) {
-    telemetry::set_metrics_enabled(true);
-  }
-  ~MetricsGuard() { telemetry::set_metrics_enabled(was); }
-  bool was;
-};
 
 // ---- the controller, in isolation ------------------------------------------
 

@@ -10,7 +10,8 @@
 //
 // The SLA wire fields (priority tag 2, deadline tag 3) get the same
 // treatment: round-trips in every combination, rejection of hostile
-// values (priority past the enum, zero deadlines), truncation at every
+// values (priority past the enum, rung tags past their integer width or
+// below −1, zero deadlines), truncation at every
 // byte of a fully-tagged frame, and a golden byte-for-byte check that
 // an untagged request still encodes exactly as it did before the tags
 // existed — old clients and new servers interoperate.
@@ -31,46 +32,10 @@
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/harness.hpp"
 #include "ccq/serve/net.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
-
-Tensor make_inputs(std::size_t n) {
-  Tensor x({n, 3, 8, 8});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-hw::IntegerNetwork make_network() {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % 3);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(16), ws);
-  model.set_training(false);
-  return hw::IntegerNetwork::compile(model);
-}
-
-std::string error_message(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
 
 bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
@@ -374,6 +339,52 @@ TEST(WireSlaFieldTest, HostilePriorityAndDeadlineValuesRejected) {
   const wire::InferRequest decoded =
       wire::decode_request(wire::encode_request(forever));
   EXPECT_EQ(decoded.deadline_us, std::numeric_limits<std::uint64_t>::max());
+}
+
+/// LEB128 varint, written by hand so the frames below do not depend on
+/// the encoder under test.
+void append_varint(std::string& body, std::uint64_t v) {
+  while (v >= 0x80) {
+    body.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  body.push_back(static_cast<char>(v));
+}
+
+TEST(WireSlaFieldTest, OutOfRangeRungTagsRejectedNotTruncated) {
+  const std::string base = wire::encode_request(small_request());
+  const auto with_point = [&](std::uint64_t zigzag) {
+    std::string body = base;
+    body.push_back('\x01');  // rung override tag …
+    append_varint(body, zigzag);  // … zigzag-coded value
+    return body;
+  };
+  // Rung 2^32 + 1 (zigzag 2v) would truncate to rung 1.
+  const std::string wide_msg = error_message(
+      [&] { wire::decode_request(with_point((std::uint64_t{1} << 33) + 2)); });
+  EXPECT_NE(wide_msg.find("out of range"), std::string::npos) << wide_msg;
+  // Rung −2 (zigzag 2|v|−1) would pass as "server picks".
+  EXPECT_THROW(wire::decode_request(with_point(3)), wire::ProtocolError);
+  // The edges of the legal range still decode.
+  EXPECT_EQ(wire::decode_request(with_point(1)).point, -1);
+  EXPECT_EQ(wire::decode_request(with_point(0xFFFF'FFFEull)).point,
+            std::numeric_limits<std::int32_t>::max());
+
+  wire::InferReply ok;
+  ok.ok = true;
+  ok.logits = {1.0f};
+  const auto with_rung = [&](std::uint64_t rung) {
+    std::string body = wire::encode_reply(ok);
+    body.push_back('\x01');  // served rung tag …
+    append_varint(body, rung);
+    return body;
+  };
+  // Rung 2^32 would truncate to rung 0.
+  const std::string reply_msg = error_message(
+      [&] { wire::decode_reply(with_rung(std::uint64_t{1} << 32)); });
+  EXPECT_NE(reply_msg.find("out of range"), std::string::npos) << reply_msg;
+  EXPECT_EQ(wire::decode_reply(with_rung(0xFFFF'FFFFull)).rung,
+            std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(WireSlaFieldTest, DuplicateAndUnknownTagsRejected) {

@@ -8,22 +8,22 @@
 //      first), the expiry sweep, the saturating relative→absolute
 //      deadline conversion for hostile budgets, and each case of the
 //      hold rule (`sla_next_hold_ns`).
-//   2. A thread-free scheduler simulator over the *same* primitives the
-//      server's worker loop uses (`SchedView`, `sla_flushable`,
-//      `sla_next_event_ns`, `sla_next_hold_ns`, `sla_prefer`,
-//      `SlaQueue`) driven on a
+//   2. A thread-free scheduler simulator over the *same* two steps the
+//      server runs under its mutex (`sla_admit`, `sla_flush` over an
+//      `SlaModel`) driven on a
 //      virtual clock: fair-share convergence for 1:1 and 1:4 weights
 //      under saturating two-model load, starvation freedom of a quiet
 //      model, and the combined mixed-priority acceptance scenario — no
 //      high-priority request shed while lower-priority work is queued,
 //      expired requests never occupy a batch slot, served shares within
-//      10% of the configured weights.  The same simulator applies the
-//      learned batching hold (`sla_next_hold_ns`) at every flush and pins
-//      it: a fresh model holds the full max_delay, a closed pair
-//      population drives the hold down to the pair spacing, Poisson
-//      overload fills batches at hold 0, hold 0 lasts when traffic
-//      turns moderate, expired requests do not judge the hold, and no
-//      request waits past max_delay.
+//      10% of the configured weights, and rung-homogeneous batches from
+//      a queue of mixed rung overrides.  The flush step learns the
+//      batching hold (`sla_next_hold_ns`) at every flush, and the
+//      simulator pins it: a fresh model holds the full max_delay, a
+//      closed pair population drives the hold down to the pair spacing,
+//      Poisson overload fills batches at hold 0, hold 0 lasts when
+//      traffic turns moderate, expired requests do not judge the hold,
+//      and no request waits past max_delay.
 //   3. InferenceServer integration under an injected virtual clock
 //      (`ServeConfig::now_fn`, one worker): shed-lowest-first through
 //      real submit futures, deadline expiry at dequeue (never at
@@ -48,6 +48,7 @@
 #include "ccq/common/telemetry.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/harness.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
@@ -56,13 +57,14 @@ constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
 // ---- tier 1: queue + deadline primitives -----------------------------------
 
-/// The minimal request shape SlaQueue needs (the server's
-/// detail::Request carries the same three fields plus payload).
+/// The minimal request shape the scheduler needs (the server's
+/// detail::Request carries the same four fields plus payload).
 struct SimRequest {
   Priority priority = Priority::kNormal;
   std::uint64_t enqueue_ns = 0;
   std::uint64_t deadline_ns = 0;
   int id = 0;
+  std::int32_t rung = -1;  ///< operating-point override; −1 = none
 };
 
 SimRequest req(int id, Priority priority, std::uint64_t enqueue_ns = 0,
@@ -149,16 +151,17 @@ TEST(DeadlineInstantTest, MicrosToNanosSaturates) {
   EXPECT_EQ(us_to_ns_saturating(kU64Max), kU64Max);
 }
 
-/// A one-model view for the hold rule: `queued` requests admitted
-/// between `oldest_ns` and `newest_ns`, holding `hold_ns`.
-SchedView hold_view(std::size_t queued, std::uint64_t oldest_ns,
-                    std::uint64_t newest_ns, std::uint64_t hold_ns) {
-  SchedView v;
-  v.queued = queued;
-  v.oldest_ns = oldest_ns;
+/// A one-model state for the hold rule: `queued` requests admitted at
+/// `oldest_ns` (each expiring at `deadline_ns`, 0 = never), the newest
+/// admission at `newest_ns`, holding `hold_ns`.
+SlaModel<SimRequest> hold_view(std::size_t queued, std::uint64_t oldest_ns,
+                               std::uint64_t newest_ns, std::uint64_t hold_ns,
+                               std::uint64_t deadline_ns = 0) {
+  SlaModel<SimRequest> v{.max_batch = 8, .capacity = 64, .hold_ns = hold_ns};
+  for (std::size_t i = 0; i < queued; ++i) {
+    v.queue.push(req(0, Priority::kNormal, oldest_ns, deadline_ns));
+  }
   v.newest_ns = newest_ns;
-  v.max_batch = 8;
-  v.hold_ns = hold_ns;
   return v;
 }
 
@@ -195,12 +198,11 @@ TEST(HoldRuleTest, FullBatchNeverGrowsTheHold) {
 
 TEST(HoldRuleTest, ForcedAndDeadlineFlushesKeepTheHold) {
   constexpr std::uint64_t kCap = 200'000;
-  SchedView forced = hold_view(1, 0, 0, kCap);
+  SlaModel<SimRequest> forced = hold_view(1, 0, 0, kCap);
   forced.force = true;
   EXPECT_EQ(sla_next_hold_ns(forced, 10 * kCap), kCap);
   // Flushable only because a queued deadline passed, not on age.
-  SchedView deadline = hold_view(1, 0, 0, kCap);
-  deadline.earliest_deadline_ns = 1'000;
+  const SlaModel<SimRequest> deadline = hold_view(1, 0, 0, kCap, 1'000);
   ASSERT_TRUE(sla_flushable(deadline, 1'000));
   EXPECT_EQ(sla_next_hold_ns(deadline, 1'000), kCap);
   // The expiry sweep emptied the queue: nothing to judge.
@@ -217,114 +219,79 @@ TEST(PriorityTest, NamesRoundTrip) {
 
 // ---- tier 2: thread-free scheduler simulator -------------------------------
 
-/// One simulated model: the same queue type and accounting the server's
-/// LoadedModel carries, minus the network.
-struct SimModel {
-  SlaQueue<SimRequest> queue;
-  double weight = 1.0;
-  std::size_t capacity = 16;
-  std::size_t max_batch = 4;
-  std::uint64_t max_delay_ns = 1'000'000;
-  /// Learned hold; u64 max clamps to max_delay_ns, so a fresh model
-  /// starts at the cap exactly as the server's LoadedModel does.
-  std::uint64_t hold_ns = kNoEventNs;
-  std::uint64_t newest_ns = 0;
-  double vtime = 0.0;
+/// One simulated model: the server's scheduling state (`SlaModel`, as
+/// `detail::LoadedModel` holds it), minus the network, plus a record of
+/// what the scheduler did with it.
+struct SimModel : SlaModel<SimRequest> {
+  explicit SimModel(std::uint64_t max_delay_ns_in = 1'000'000)
+      : SlaModel{.max_batch = 4, .capacity = 16, .hold_ns = max_delay_ns_in},
+        max_delay_ns(max_delay_ns_in) {}
+
+  std::uint64_t max_delay_ns;
   std::size_t served = 0;
   std::vector<SimRequest> shed;
   std::vector<SimRequest> expired;
   std::vector<std::uint64_t> latency_ns;  // virtual enqueue→serve
   std::vector<std::size_t> batches;       // size of every flush
   std::vector<std::uint64_t> holds;       // hold learned at every flush
+  std::vector<std::int32_t> rungs;        // rung of every flush
+  std::vector<int> served_ids;            // request ids in serve order
 };
 
-/// The scheduler under test: admission + pick + flush, all on a virtual
-/// clock, reproducing the exact decision code the server runs under its
-/// mutex (sla.hpp free functions over SchedView).
+/// The scheduler under test: the server's admit and flush steps
+/// (`sla_admit`, `sla_flush`) on a virtual clock, where a flush costs
+/// virtual service time instead of running a network.
 struct SimScheduler {
   std::vector<SimModel*> models;
   std::uint64_t now = 0;
   double vclock = 0.0;
   std::uint64_t batch_cost_ns = 1'000;  ///< virtual service time per flush
   std::uint64_t sample_cost_ns = 0;     ///< … plus this per batched sample
+  std::int32_t rung = 0;  ///< the rung a model's controller would pick
 
-  static SchedView view(const SimModel& m) {
-    SchedView v;
-    v.queued = m.queue.size();
-    if (v.queued > 0) {
-      v.oldest_ns = m.queue.oldest_enqueue_ns();
-      v.newest_ns = m.newest_ns;
-      v.earliest_deadline_ns = m.queue.earliest_deadline_ns();
-    }
-    v.max_batch = m.max_batch;
-    v.hold_ns = std::min(m.hold_ns, m.max_delay_ns);
-    v.vtime = m.vtime;
-    return v;
-  }
-
-  /// The server's admission policy (submit()'s queue-full block).
-  /// Returns false when rejected (QueueFullError's condition).
+  /// Admit at the current instant.  Returns false when rejected
+  /// (QueueFullError's condition).
   bool admit(SimModel& m, SimRequest r) {
     r.enqueue_ns = now;
-    if (m.queue.size() >= m.capacity) {
-      if (m.queue.lowest() < r.priority) {
-        m.shed.push_back(m.queue.shed_lowest());
-      } else {
-        return false;
-      }
-    }
-    if (m.queue.empty()) m.vtime = std::max(m.vtime, vclock);
-    m.newest_ns = std::max(m.newest_ns, now);
-    m.queue.push(std::move(r));
-    return true;
+    SimRequest victim;
+    const SlaAdmission admission = sla_admit(m, std::move(r), vclock, victim);
+    if (admission == SlaAdmission::kShed) m.shed.push_back(victim);
+    return admission != SlaAdmission::kRejected;
   }
 
-  /// One worker turn: pick the fair-share winner among flushable
-  /// models (advancing the clock to the next event when none is due),
-  /// run the expiry sweep, take a batch, charge vtime.  Returns the
-  /// flushed model, or nullptr when every queue is empty.
-  SimModel* step() {
+  /// One worker turn: the flush step at the current instant, advancing
+  /// the clock to the next event while nothing is due and that event is
+  /// not past `until`.  Returns the flushed model, or nullptr when every
+  /// queue is empty or nothing is due by `until`.
+  SimModel* step(std::uint64_t until = kNoEventNs) {
     for (;;) {
-      SimModel* target = nullptr;
-      SchedView target_view;
-      for (SimModel* m : models) {
-        const SchedView v = view(*m);
-        if (!sla_flushable(v, now)) continue;
-        if (!target || sla_prefer(v, target_view)) {
-          target = m;
-          target_view = v;
-        }
-      }
-      if (target) {
-        vclock = std::max(vclock, target->vtime);
-        target->queue.expire(now, [&](SimRequest&& r) {
-          target->expired.push_back(std::move(r));
-        });
-        target->hold_ns = sla_next_hold_ns(view(*target), now);
-        target->holds.push_back(target->hold_ns);
-        std::size_t take = 0;
-        while (take < target->max_batch && !target->queue.empty()) {
-          SimRequest r = target->queue.pop_front();
+      std::vector<SimRequest> expired, batch;
+      const auto flush = sla_flush(models, now, vclock, expired, batch,
+                                   [&](SimModel&) { return rung; });
+      if (flush.model) {
+        SimModel& target = *flush.model;
+        target.expired.insert(target.expired.end(), expired.begin(),
+                              expired.end());
+        target.holds.push_back(target.hold_ns);
+        for (const SimRequest& r : batch) {
           // The acceptance property: a request in a batch is never
           // expired at the instant the batch was composed.
           EXPECT_FALSE(deadline_expired(r.deadline_ns, now));
-          target->latency_ns.push_back(now - r.enqueue_ns);
-          ++take;
+          target.latency_ns.push_back(now - r.enqueue_ns);
+          target.served_ids.push_back(r.id);
         }
-        target->vtime += static_cast<double>(take) / target->weight;
-        target->served += take;
-        target->batches.push_back(take);
-        now += batch_cost_ns + take * sample_cost_ns;
-        return target;
+        target.served += batch.size();
+        target.batches.push_back(batch.size());
+        target.rungs.push_back(flush.rung);
+        now += batch_cost_ns + batch.size() * sample_cost_ns;
+        return flush.model;
       }
       // Nothing due: park until the earliest flush/deadline event —
       // the virtual analogue of the worker's wait_until.
-      std::uint64_t earliest = kNoEventNs;
-      for (SimModel* m : models) {
-        earliest = std::min(earliest, sla_next_event_ns(view(*m)));
+      if (flush.next_event_ns == kNoEventNs || flush.next_event_ns > until) {
+        return nullptr;
       }
-      if (earliest == kNoEventNs) return nullptr;  // all queues empty
-      now = std::max(now, earliest);
+      now = std::max(now, flush.next_event_ns);
     }
   }
 
@@ -332,13 +299,7 @@ struct SimScheduler {
   /// arrivals), then bring the clock to `t` if it is not already past it.
   /// The clock stays past `t` while a flush that started earlier runs.
   void run_until(std::uint64_t t) {
-    for (;;) {
-      std::uint64_t earliest = kNoEventNs;
-      for (SimModel* m : models) {
-        earliest = std::min(earliest, sla_next_event_ns(view(*m)));
-      }
-      if (std::max(earliest, now) > t) break;
-      step();
+    while (now <= t && step(t) != nullptr) {
     }
     now = std::max(now, t);
   }
@@ -399,8 +360,8 @@ TEST(FairShareTest, FourToOneWeightsConvergeToFourToOneShares) {
 }
 
 TEST(FairShareTest, QuietModelNeverStarvesBehindHotOne) {
-  SimModel hot, quiet;
-  quiet.max_delay_ns = 500;  // age-triggered flush for single requests
+  SimModel hot;
+  SimModel quiet(500);  // age-triggered flush for single requests
   SimScheduler sched;
   sched.models = {&hot, &quiet};
   int id = 0;
@@ -495,6 +456,50 @@ TEST(FairShareTest, MixedPriorityAcceptanceScenario) {
   expect_share_within(a, b, 4.0, 0.10);
 }
 
+TEST(RungBoundaryTest, MixedOverridesFlushRungHomogeneousBatches) {
+  // One queue holding requests with mixed rung overrides.  Each batch
+  // takes its rung from its front request (the override, else the
+  // controller's pick) and ends at the first request that asks for a
+  // different rung, so every batch runs at one precision, highest class
+  // first and FIFO within a class.
+  SimModel m;
+  m.max_batch = 8;
+  SimScheduler sched;
+  sched.models = {&m};
+  sched.rung = 2;  // what the controller picks for unpinned batches
+  struct Offer {
+    Priority priority;
+    std::int32_t rung;
+  };
+  const std::vector<Offer> offers = {
+      {Priority::kHigh, 1},  {Priority::kNormal, -1}, {Priority::kHigh, -1},
+      {Priority::kNormal, 0}, {Priority::kLow, -1},   {Priority::kHigh, 1},
+      {Priority::kNormal, 0}, {Priority::kLow, 2},    {Priority::kNormal, -1},
+      {Priority::kLow, 0},    {Priority::kLow, -1}};
+  for (std::size_t i = 0; i < offers.size(); ++i) {
+    SimRequest r = req(static_cast<int>(i) + 1, offers[i].priority);
+    r.rung = offers[i].rung;
+    ASSERT_TRUE(sched.admit(m, std::move(r)));
+    // The first eight fill the queue to max_batch and drain in three
+    // batches before the last three arrive.
+    if (i + 1 == 8) {
+      for (int flush = 0; flush < 3; ++flush) {
+        ASSERT_EQ(sched.step(), &m);
+      }
+    }
+  }
+  while (!m.queue.empty()) ASSERT_EQ(sched.step(), &m);
+  // High [1@1, 3, 6@1] then Normal [2, 4@0, 7@0] then Low [5, 8@2]:
+  // 1 pins rung 1, and 3, 6, 2 join it until 4 asks for rung 0; 4 pins
+  // rung 0 and takes 7 and 5 until 8 asks for rung 2.  Then 8 runs alone
+  // at rung 2, the unpinned 9 at the controller's rung 2, and 10 pins
+  // rung 0 for itself and 11.
+  EXPECT_EQ(m.served_ids,
+            (std::vector<int>{1, 3, 6, 2, 4, 7, 5, 8, 9, 10, 11}));
+  EXPECT_EQ(m.batches, (std::vector<std::size_t>{4, 3, 1, 1, 2}));
+  EXPECT_EQ(m.rungs, (std::vector<std::int32_t>{1, 0, 2, 2, 0}));
+}
+
 // ---- tier 2b: the learned batching hold ------------------------------------
 
 /// Exponential inter-arrival gaps (a Poisson stream) by inverse CDF over
@@ -525,9 +530,8 @@ void run_closed_pairs(SimScheduler& sched, SimModel& m,
 }
 
 SimModel hold_model() {
-  SimModel m;
+  SimModel m(200'000);
   m.max_batch = 8;
-  m.max_delay_ns = 200'000;
   m.capacity = 64;
   return m;
 }
@@ -727,34 +731,6 @@ TEST(LearnedHoldTest, NoRequestWaitsLongerThanMaxDelay) {
 }
 
 // ---- tier 3: server integration under an injected clock --------------------
-
-Tensor make_inputs(std::size_t n) {
-  Tensor x({n, 3, 8, 8});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-hw::IntegerNetwork make_network() {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % 3);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(8), ws);
-  model.set_training(false);
-  return hw::IntegerNetwork::compile(model);
-}
 
 /// A server on a virtual clock: one worker, time advances only when the
 /// test says so, flushes triggered by filling max_batch or by shutdown.
@@ -996,6 +972,39 @@ TEST(ServeSlaTest, DeadlineMissRateTriggersControllerDegrade) {
   EXPECT_EQ(point.decide({0, 3'000, 30, 5}), 0u);
   // The two-arg overload keeps the miss trigger inert.
   EXPECT_EQ(point.decide(0, 4'000), 0u);
+}
+
+/// Just past the last microsecond count that scales to nanoseconds
+/// without wrapping: a wrapping multiply turns it into 384 ns.
+constexpr std::uint64_t kWrapsTo384Ns = 18'446'744'073'709'552ull;
+
+TEST(ServeSlaTest, ControllerP99ThresholdSaturatesInsteadOfWrapping) {
+  const bool metrics_were = telemetry::metrics_enabled();
+  telemetry::set_metrics_enabled(true);
+  const int timer = telemetry::named_metric(telemetry::NamedKind::kTimer,
+                                            "test.sla.saturated_p99");
+  OperatingPointPolicy policy;
+  policy.degrade_depth = 1000;  // depth trigger inert
+  policy.restore_depth = 0;
+  policy.degrade_p99_us = kWrapsTo384Ns;
+  OperatingPointController point(policy, 3, timer, -1, -1);
+  // A p99 of 1 ms is far below the threshold, and far above 384 ns.
+  for (int i = 0; i < 10; ++i) {
+    telemetry::record_named_duration(timer, 1'000'000);
+  }
+  EXPECT_EQ(point.decide(0, 1'000), 0u);
+  telemetry::set_metrics_enabled(metrics_were);
+}
+
+TEST(ServeSlaTest, ControllerDwellSaturatesInsteadOfWrapping) {
+  OperatingPointPolicy policy;
+  policy.degrade_depth = 4;
+  policy.restore_depth = 0;
+  policy.min_dwell_us = kWrapsTo384Ns;
+  OperatingPointController point(policy, 3, -1, -1, -1);
+  EXPECT_EQ(point.decide(10, 1'000), 1u);  // the first switch is free
+  // 1 ms later the dwell still holds the rung, though 1 ms ≫ 384 ns.
+  EXPECT_EQ(point.decide(10, 1'001'000), 1u);
 }
 
 // ---- harness accounting regression (satellite fix) -------------------------

@@ -26,49 +26,10 @@
 #include "ccq/common/telemetry.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/harness.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
-
-Tensor make_inputs(std::size_t n) {
-  Tensor x({n, 3, 8, 8});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-/// A calibrated SimpleCNN whose layer i sits at ladder position
-/// i mod `stride` of an 8/4/2 ladder.  Different strides give genuinely
-/// different integer networks over the same input/output shapes — the
-/// raw material for v1-vs-v2 swap tests.
-hw::IntegerNetwork make_network(std::size_t stride) {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % stride);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(16), ws);
-  model.set_training(false);
-  return hw::IntegerNetwork::compile(model);
-}
-
-float max_row_diff(const Tensor& row, const Tensor& batch, std::size_t i) {
-  float diff = 0.0f;
-  for (std::size_t c = 0; c < row.dim(0); ++c) {
-    diff = std::max(diff, std::abs(row(c) - batch(i, c)));
-  }
-  return diff;
-}
 
 TEST(ServeSwapTest, MidTrafficSwapLosesNothingAndStaysBitIdentical) {
   hw::IntegerNetwork v1 = make_network(3);

@@ -25,65 +25,12 @@
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/artifact.hpp"
 #include "ccq/serve/harness.hpp"
+#include "serve_fixtures.hpp"
 
 namespace ccq::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
-Tensor make_inputs(std::size_t n, std::size_t channels = 3,
-                   std::size_t hw = 8) {
-  Tensor x({n, channels, hw, hw});
-  auto data = x.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
-  }
-  return x;
-}
-
-/// A small quantized CNN with a mixed 8/4/2 allocation (layer i sits at
-/// ladder position i mod 3).  Untrained — serve correctness is about the
-/// datapath, not accuracy — but forwarded once in train mode so
-/// activation ranges are calibrated before compiling.
-models::QuantModel make_mixed_model() {
-  models::ModelConfig mc;
-  mc.num_classes = 5;
-  mc.image_size = 8;
-  mc.width_multiplier = 0.25f;
-  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
-  auto model =
-      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
-  quant::LayerRegistry& registry = model.registry();
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    registry.set_ladder_pos(i, i % 3);
-  }
-  Workspace ws;
-  model.set_training(true);
-  model.forward(make_inputs(16), ws);
-  model.set_training(false);
-  return model;
-}
-
-float max_row_diff(const Tensor& row, const Tensor& batch, std::size_t i) {
-  float diff = 0.0f;
-  for (std::size_t c = 0; c < row.dim(0); ++c) {
-    diff = std::max(diff, std::abs(row(c) - batch(i, c)));
-  }
-  return diff;
-}
-
-std::string error_message(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
 
 // ---- bit packing -----------------------------------------------------------
 

@@ -80,10 +80,10 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
       .policy = quant::policy_from_str(args.get("policy", "pact"))};
   models::ModelConfig config;
   config.num_classes = classes;
-  config.image_size = static_cast<std::size_t>(args.get_int("image", 16));
+  config.image_size = static_cast<std::size_t>(args.get_uint("image", 16));
   config.width_multiplier =
       static_cast<float>(args.get_double("width", 0.25));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  config.seed = args.get_uint("seed", 7);
   if (arch == "resnet20") return models::make_resnet20(config, factory, ladder);
   if (arch == "resnet18") return models::make_resnet18(config, factory, ladder);
   if (arch == "resnet50") return models::make_resnet50(config, factory, ladder);
@@ -92,7 +92,7 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
   }
   if (arch == "mlp") {
     return models::make_mlp(config, factory, ladder,
-                            static_cast<std::size_t>(args.get_int("hidden", 64)));
+                            static_cast<std::size_t>(args.get_uint("hidden", 64)));
   }
   throw Error("unknown --arch " + arch +
               " (resnet20|resnet18|resnet50|simplecnn|mlp)");
@@ -100,13 +100,13 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
 
 Experiment prepare(const Args& args, bool pretrain = true) {
   data::SyntheticConfig dc;
-  dc.num_classes = static_cast<std::size_t>(args.get_int("classes", 10));
+  dc.num_classes = static_cast<std::size_t>(args.get_uint("classes", 10));
   dc.samples_per_class =
-      static_cast<std::size_t>(args.get_int("samples", 55));
-  dc.height = dc.width = static_cast<std::size_t>(args.get_int("image", 16));
+      static_cast<std::size_t>(args.get_uint("samples", 55));
+  dc.height = dc.width = static_cast<std::size_t>(args.get_uint("image", 16));
   dc.pixel_noise = static_cast<float>(args.get_double("noise", 0.38));
   dc.jitter = static_cast<float>(args.get_double("jitter", 2.6));
-  dc.seed = static_cast<std::uint64_t>(args.get_int("data-seed", 1234));
+  dc.seed = args.get_uint("data-seed", 1234);
   data::Dataset train = data::make_synthetic_vision(dc);
   data::Dataset val = train.take_tail(train.size() / 5);
 
@@ -120,7 +120,7 @@ Experiment prepare(const Args& args, bool pretrain = true) {
 
   core::TrainConfig pre;
   pre.epochs = args.get_int("pretrain-epochs", 12);
-  pre.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  pre.batch_size = static_cast<std::size_t>(args.get_uint("batch", 32));
   pre.sgd = {.lr = args.get_double("pretrain-lr", 0.03),
              .momentum = 0.9,
              .weight_decay = 5e-4};
@@ -134,7 +134,7 @@ Experiment prepare(const Args& args, bool pretrain = true) {
 core::CcqConfig ccq_config_from(const Args& args) {
   core::CcqConfig config;
   config.probes_per_step = args.get_int("probes", 4);
-  config.probe_samples = static_cast<std::size_t>(args.get_int("probe-samples", 96));
+  config.probe_samples = static_cast<std::size_t>(args.get_uint("probe-samples", 96));
   config.gamma = args.get_double("gamma", 4.0);
   config.lambda_start = args.get_double("lambda-start", 0.7);
   config.lambda_end = args.get_double("lambda-end", 0.1);
@@ -146,12 +146,12 @@ core::CcqConfig ccq_config_from(const Args& args) {
   config.manual_recovery_epochs = args.get_int("manual-epochs", 1);
   config.max_steps = args.get_int("max-steps", -1);
   config.finetune.batch_size =
-      static_cast<std::size_t>(args.get_int("batch", 32));
+      static_cast<std::size_t>(args.get_uint("batch", 32));
   config.finetune.sgd = {.lr = args.get_double("finetune-lr", 0.01),
                          .momentum = 0.9,
                          .weight_decay = 5e-4};
   config.hybrid_lr.base_lr = args.get_double("finetune-lr", 0.01);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  config.seed = args.get_uint("seed", 2020);
   return config;
 }
 
@@ -261,13 +261,12 @@ int cmd_oneshot(const Args& args) {
   Experiment exp = prepare(args);
   core::TrainConfig ft;
   ft.epochs = args.get_int("finetune-epochs", 6);
-  ft.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  ft.batch_size = static_cast<std::size_t>(args.get_uint("batch", 32));
   ft.sgd = {.lr = args.get_double("finetune-lr", 0.01),
             .momentum = 0.9,
             .weight_decay = 5e-4};
-  const auto pos = static_cast<std::size_t>(args.get_int(
-      "bits-pos",
-      static_cast<int>(exp.model.registry().ladder().size()) - 1));
+  const auto pos = static_cast<std::size_t>(
+      args.get_uint("bits-pos", exp.model.registry().ladder().size() - 1));
   const auto r =
       core::one_shot_quantize(exp.model, exp.train, exp.val, ft, pos);
   std::cout << "one-shot @"
@@ -308,7 +307,7 @@ int cmd_export(const Args& args) {
   Experiment exp = prepare(args, /*pretrain=*/false);
   CCQ_CHECK(core::load_snapshot(exp.model, snapshot),
             "snapshot not found: " + snapshot);
-  const auto rungs = static_cast<std::size_t>(args.get_int("rungs", 1));
+  const auto rungs = static_cast<std::size_t>(args.get_uint("rungs", 1));
   if (rungs >= 2) {
     const core::RungTrail trail = core::load_trail(snapshot);
     CCQ_CHECK(!trail.empty(),
@@ -394,12 +393,11 @@ int cmd_inspect(const Args& args) {
 serve::OperatingPointPolicy adaptive_policy_from(const Args& args) {
   serve::OperatingPointPolicy policy;
   policy.degrade_depth =
-      static_cast<std::size_t>(args.get_int("degrade-depth", 16));
+      static_cast<std::size_t>(args.get_uint("degrade-depth", 16));
   policy.restore_depth =
-      static_cast<std::size_t>(args.get_int("restore-depth", 2));
-  policy.degrade_p99_us =
-      static_cast<std::uint64_t>(args.get_int("degrade-p99-us", 0));
-  policy.min_dwell_us = static_cast<std::uint64_t>(args.get_int("dwell-us", 0));
+      static_cast<std::size_t>(args.get_uint("restore-depth", 2));
+  policy.degrade_p99_us = args.get_uint("degrade-p99-us", 0);
+  policy.min_dwell_us = args.get_uint("dwell-us", 0);
   policy.fixed_rung = args.get_int("rung", -1);
   policy.degrade_miss_rate = args.get_double("degrade-miss-rate", 0.0);
   return policy;
@@ -408,7 +406,7 @@ serve::OperatingPointPolicy adaptive_policy_from(const Args& args) {
 // SLA knobs shared by `serve` and `serve-bench`.
 void apply_sla_flags(const Args& args, serve::ModelConfig& mc) {
   mc.weight = args.get_double("weight", 1.0);
-  mc.slo_us = static_cast<std::uint64_t>(args.get_int("slo-us", 0));
+  mc.slo_us = args.get_uint("slo-us", 0);
 }
 
 // Shared by `serve` and `serve-bench`: the network to host — a packed
@@ -444,15 +442,14 @@ int cmd_serve(const Args& args) {
             "serve needs --listen <port> (0 picks an ephemeral port)");
 
   serve::ServeConfig sc;
-  sc.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  sc.workers = static_cast<std::size_t>(args.get_uint("workers", 2));
   sc.intra_op_threads =
-      static_cast<std::size_t>(args.get_int("intra-op", 1));
+      static_cast<std::size_t>(args.get_uint("intra-op", 1));
   serve::InferenceServer server(sc);
   serve::ModelConfig mc;
-  mc.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
-  mc.max_delay_us =
-      static_cast<std::uint64_t>(args.get_int("max-delay-us", 1000));
-  mc.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
+  mc.max_batch = static_cast<std::size_t>(args.get_uint("max-batch", 8));
+  mc.max_delay_us = args.get_uint("max-delay-us", 1000);
+  mc.queue_capacity = static_cast<std::size_t>(args.get_uint("queue-cap", 64));
   mc.adaptive = adaptive_policy_from(args);
   apply_sla_flags(args, mc);
   const std::string name = serve_model_name(args);
@@ -479,29 +476,28 @@ int cmd_serve_bench(const Args& args) {
             "serve-bench drives image models (first layer must be a conv)");
 
   serve::ServeConfig sc;
-  sc.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  sc.workers = static_cast<std::size_t>(args.get_uint("workers", 2));
   sc.intra_op_threads =
-      static_cast<std::size_t>(args.get_int("intra-op", 1));
+      static_cast<std::size_t>(args.get_uint("intra-op", 1));
   serve::ModelConfig mc;
-  mc.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
-  mc.max_delay_us =
-      static_cast<std::uint64_t>(args.get_int("max-delay-us", 200));
-  mc.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
+  mc.max_batch = static_cast<std::size_t>(args.get_uint("max-batch", 8));
+  mc.max_delay_us = args.get_uint("max-delay-us", 200);
+  mc.queue_capacity = static_cast<std::size_t>(args.get_uint("queue-cap", 64));
   mc.adaptive = adaptive_policy_from(args);
   apply_sla_flags(args, mc);
-  const auto requests = static_cast<std::size_t>(args.get_int("requests", 512));
-  const auto image = static_cast<std::size_t>(args.get_int("image", 16));
+  const auto requests =
+      static_cast<std::size_t>(args.get_uint("requests", 512));
+  const auto image = static_cast<std::size_t>(args.get_uint("image", 16));
   const double rate = args.get_double("rate", 0.0);  // 0 = closed loop
   const bool tcp = args.get_flag("tcp");
   CCQ_CHECK(!(tcp && rate > 0.0),
             "--tcp is closed-loop only (drop --rate for the socket path)");
 
   serve::HarnessOptions options;
-  options.producers = static_cast<std::size_t>(args.get_int("producers", 4));
+  options.producers = static_cast<std::size_t>(args.get_uint("producers", 4));
   options.offered_rps = rate;
   options.priority = serve::priority_from_string(args.get("priority", "normal"));
-  options.deadline_us =
-      static_cast<std::uint64_t>(args.get_int("deadline-us", 0));
+  options.deadline_us = args.get_uint("deadline-us", 0);
 
   Tensor samples({requests, net.plan(0).in_channels, image, image});
   auto data = samples.data();
